@@ -10,7 +10,7 @@ population-vectorized batch objectives and asserts that
   ``flags_agree`` — exact objective parity is enforced per float in
   ``tests/test_moga_parity.py``), and
 * the vectorized learning path is decisively faster.  The committed
-  ``BENCH_learning.json`` (regenerated with ``spot-demo bench-learn``)
+  ``BENCH_learning.json`` (regenerated with ``spot-demo bench learning``)
   records well above the 5x acceptance floor on the full 10-d/20k workload;
   the assertion here uses a 2x floor on trimmed sizes so shared-CI jitter
   cannot flake the suite.

@@ -12,7 +12,7 @@ the two properties the serving layer is accountable for:
   + FIFO queues + the prefix-commit batch contract make batching invisible).
 * **Speedup** — the micro-batched service beats per-arrival serving
   decisively.  The committed ``BENCH_service.json`` (regenerated with
-  ``spot-demo serve --bench-out BENCH_service.json``) records the full-size
+  ``spot-demo bench service``) records the full-size
   numbers; the assertion here uses a 2x floor so single-core CI runners
   cannot flake the suite (observed margins are an order of magnitude wider).
 

@@ -15,9 +15,10 @@ and asserts the two properties the subsystem is accountable for:
   outcomes).
 * **Hot-path relief** — detection-path p95 latency under ``async`` is well
   below the inline baseline.  The committed ``BENCH_learning_service.json``
-  (regenerated with ``spot-demo bench-learn-service``) records the full-size
-  numbers; the assertion here uses a 2x floor so single-core CI runners
-  cannot flake the suite (observed margins are several times wider).
+  (regenerated with ``spot-demo bench learning-service``) records the
+  full-size numbers; the assertion here uses a 2x floor so single-core CI
+  runners cannot flake the suite (observed margins are several times
+  wider).
 
 Sizes are trimmed relative to the CLI defaults so the tier-1 run stays fast.
 """

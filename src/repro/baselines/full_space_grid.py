@@ -46,8 +46,8 @@ class FullSpaceGridDetector(StreamingDetector):
         taken from a default config so SPOT and this baseline are always
         compared under identical substrate settings.
     engine:
-        ``"python"`` (default) keeps the reference store; ``"vectorized"``
-        swaps in the array-backed store and enables the batch scan path.
+        ``"vectorized"`` (default) runs the array-backed store and the batch
+        scan path; ``"python"`` keeps the reference store (the oracle).
     """
 
     name = "full-space-grid"
@@ -56,7 +56,7 @@ class FullSpaceGridDetector(StreamingDetector):
                  omega: Optional[int] = None,
                  epsilon: Optional[float] = None,
                  rd_threshold: Optional[float] = None,
-                 engine: str = "python") -> None:
+                 engine: str = "vectorized") -> None:
         if engine not in ("python", "vectorized"):
             raise ConfigurationError(
                 f"engine must be 'python' or 'vectorized', got {engine!r}"

@@ -60,7 +60,7 @@ class RandomSubspaceDetector(StreamingDetector):
                  min_expected_mass: Optional[float] = None,
                  significance: Optional[float] = None,
                  seed: int = 0,
-                 engine: str = "python") -> None:
+                 engine: str = "vectorized") -> None:
         if n_subspaces < 1:
             raise ConfigurationError("n_subspaces must be at least 1")
         if max_dimension < 1:

@@ -69,13 +69,13 @@ class SPOTConfig:
         "populated" or "lattice"); see
         :class:`~repro.core.synapse_store.SynapseStore`.
     engine:
-        Detection substrate: ``"python"`` (default) keeps the pure-Python
-        reference store — the parity oracle — while ``"vectorized"`` swaps in
-        the NumPy array-backed store
-        (:class:`~repro.core.fast_store.VectorizedSynapseStore`) and unlocks
-        the :meth:`~repro.core.detector.SPOT.process_batch` fast path.  Both
-        engines produce the same flags and (within float tolerance) the same
-        scores.
+        Detection substrate: ``"vectorized"`` (default) runs the NumPy
+        array-backed store
+        (:class:`~repro.core.fast_store.VectorizedSynapseStore`) and the
+        :meth:`~repro.core.detector.SPOT.process_batch` fast path, while
+        ``"python"`` keeps the pure-Python reference store — the parity
+        oracle.  Both engines produce the same flags and (within float
+        tolerance) the same scores.
 
     Learning / MOGA
     ---------------
@@ -135,7 +135,7 @@ class SPOTConfig:
     density_reference: str = "hybrid"
 
     # Detection substrate
-    engine: str = "python"
+    engine: str = "vectorized"
 
     # Learning / MOGA
     moga_population: int = 40

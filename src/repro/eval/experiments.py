@@ -867,9 +867,6 @@ def experiment_l2_learning_service(*, n_tenants: int = 6, dimensions: int = 10,
             learn_stats = outcome["learn_stats"]
             if learn_stats is not None:
                 row["learn_requests"] = learn_stats["requests"]
-                row["coalesced_requests"] = learn_stats["coalesced_requests"]
-                row["context_reuses"] = learn_stats["context_reuses"]
-                row["memo_hits"] = learn_stats["memo_hits"]
         rows.append(row)
     return ExperimentReport(
         experiment_id="L2",
@@ -1116,7 +1113,8 @@ def experiment_a4_moga_vs_exhaustive(*, dimension_settings: Sequence[int] = (8, 
                                      top_k: int = 10,
                                      n_points: int = 400,
                                      seed: int = 43,
-                                     engine: str = "python") -> ExperimentReport:
+                                     engine: str = "vectorized"
+                                     ) -> ExperimentReport:
     """How much of the exhaustive top-k MOGA recovers, and at what cost.
 
     ``engine`` selects the objective implementation for both the exhaustive

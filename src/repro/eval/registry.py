@@ -512,7 +512,7 @@ _register(ExperimentSpec(
         Param(name="n_points", type="int", default=400,
               help="training batch size"),
         _seed(43),
-        Param(name="engine", type="str", default="python",
+        Param(name="engine", type="str", default="vectorized",
               choices=("python", "vectorized"),
               help="objective engine used by both searches"),
     ),
@@ -566,8 +566,7 @@ _register_bench(BenchSpec(
                 "per-arrival / sharded service) and record "
                 "BENCH_service.json.",
     # The committed artifact serves the full 8-tenant x 1500-point workload
-    # (the old `serve --bench-out` defaults), not E5's trimmed experiment
-    # sizes.
+    # (the `serve` defaults), not E5's trimmed experiment sizes.
     schema=_with_defaults(_schema(*_E5_PARAMS), n_tenants=8,
                           n_detection_per_tenant=1500),
     runner=experiment_e5_service,

@@ -72,7 +72,7 @@ class RecentPointsBuffer:
 
     The monotonic :attr:`version` counts every point ever added; snapshots
     taken at the same version hold identical contents, which is what the
-    learning service keys its shared objective contexts on.
+    objective memo is keyed on.
     """
 
     def __init__(self, capacity: int) -> None:

@@ -14,7 +14,7 @@ explicit, serialisable phases so the search can leave the detection path:
    checkpoints.
 2. **Evaluation** — :func:`evaluate_learn_request` is a pure function of
    (request, grid): it touches no detector state, so it can run inline (the
-   synchronous path), on a thread pool, or in another process, and always
+   synchronous path) or on the coordinator's thread pool, and always
    produces the same publication.  All randomness is consumed either at
    request time (self-evolution's offspring draw) or via an explicit seed
    carried by the request (OS growth, relearn), which is what makes the
@@ -23,9 +23,8 @@ explicit, serialisable phases so the search can leave the detection path:
    SST at the request's apply point (immediately after the trigger position,
    before the next point of that stream is processed).
 
-The ``LearningCoordinator`` (:mod:`repro.service.learning`) batches requests
-that share a reservoir snapshot through one
-:class:`~repro.moga.batch_objectives.SharedBatchContext` per snapshot.
+The ``LearningCoordinator`` (:mod:`repro.service.learning`) evaluates
+requests off the detection path.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ class ReservoirSnapshot:
     """An immutable copy of the recent-points reservoir at a trigger position.
 
     ``version`` is the reservoir's monotonic add-counter — requests captured
-    at the same stream position share it, which is what the coordinator keys
-    its shared objective contexts (and the objective memo) on.
+    at the same stream position share it, which is what the objective memo
+    is keyed on.
     """
 
     version: int
@@ -302,10 +301,10 @@ def evaluate_learn_request(request, grid: Grid, *,
     """Run one learn request's search; pure in (request, grid).
 
     ``objectives`` optionally injects a pre-built sparsity-objectives
-    instance (the synchronous path passes its memo-bound one, the
-    coordinator passes one derived from the snapshot's shared context); when
-    omitted the evaluator builds a fresh instance from the snapshot.  Either
-    way the published floats are identical — objectives only memoise.
+    instance (the synchronous path passes its memo-bound one); when omitted
+    the evaluator builds a fresh instance from the snapshot, as the learning
+    coordinator does.  Either way the published floats are identical —
+    objectives only memoise.
     """
     if objectives is None:
         objectives = make_sparsity_objectives(

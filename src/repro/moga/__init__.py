@@ -1,10 +1,6 @@
 """Multi-Objective Genetic Algorithm for sparse-subspace search."""
 
-from .batch_objectives import (
-    BatchSparsityObjectives,
-    SharedBatchContext,
-    make_sparsity_objectives,
-)
+from .batch_objectives import BatchSparsityObjectives, make_sparsity_objectives
 from .chromosome import Chromosome, unique_chromosomes
 from .engine import (
     MOGAEngine,
@@ -39,7 +35,6 @@ __all__ = [
     "BatchSparsityObjectives",
     "ObjectiveMemo",
     "ObjectiveMemoView",
-    "SharedBatchContext",
     "make_sparsity_objectives",
     "Chromosome",
     "unique_chromosomes",

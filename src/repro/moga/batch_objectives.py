@@ -46,7 +46,6 @@ from ..core.kernels import (
 )
 from ..core.subspace import Subspace
 from .objectives import (
-    ObjectiveMemo,
     ObjectiveMemoView,
     SparsityObjectives,
     memo_cache_bytes,
@@ -54,44 +53,6 @@ from .objectives import (
 )
 
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-class SharedBatchContext:
-    """The heavy, target-independent half of batch objectives, built once.
-
-    Every search over the same training snapshot (e.g. all the outliers and
-    the self-evolution round of one reservoir version) needs exactly the same
-    quantised index matrix, per-dimension marginals and uniform-std vector.
-    A context captures those arrays once so
-    :meth:`BatchSparsityObjectives.from_context` can stamp out per-target
-    objective instances without re-quantising the batch per search — the
-    learning coordinator keys contexts by (shard, reservoir version).
-
-    The bundled :class:`ObjectiveMemo` travels with the context so searches
-    sharing a snapshot also share memoised objective vectors.
-    """
-
-    def __init__(self, training_data: Sequence[Sequence[float]], grid: Grid,
-                 *, version: Optional[int] = None) -> None:
-        self.grid = grid
-        self.version = version
-        phi = grid.phi
-        self.X = BatchSparsityObjectives._as_matrix(training_data, phi,
-                                                    "training")
-        if self.X.shape[0] == 0:
-            raise ConfigurationError("training_data must not be empty")
-        m = grid.cells_per_dimension
-        self.lows = np.asarray(grid.bounds.lows, dtype=np.float64)
-        self.widths = np.asarray(grid.cell_widths, dtype=np.float64)
-        self.idx = quantize_batch(self.X, self.lows, self.widths, m)
-        self.marginals = marginal_histograms(self.idx, m)
-        self.ustd = np.array([grid.uniform_cell_std(d) for d in range(phi)],
-                             dtype=np.float64)
-        self.memo = ObjectiveMemo()
-
-    def memo_view(self, target_key: object = None) -> ObjectiveMemoView:
-        """A memo view bound to this context's snapshot version."""
-        return self.memo.view(self.version, target_key)
 
 
 class BatchSparsityObjectives:
@@ -115,60 +76,35 @@ class BatchSparsityObjectives:
                  irsd_cap: float = 100.0,
                  density_reference: str = "hybrid",
                  memo: Optional[ObjectiveMemoView] = None) -> None:
-        context = SharedBatchContext(training_data, grid)
-        self._init_from_context(context, target_points=target_points,
-                                irsd_cap=irsd_cap,
-                                density_reference=density_reference,
-                                memo=memo)
-
-    @classmethod
-    def from_context(cls, context: SharedBatchContext, *,
-                     target_points: Optional[Sequence[Sequence[float]]] = None,
-                     irsd_cap: float = 100.0,
-                     density_reference: str = "hybrid",
-                     memo: Optional[ObjectiveMemoView] = None
-                     ) -> "BatchSparsityObjectives":
-        """Objectives over a pre-quantised snapshot (see SharedBatchContext).
-
-        Produces bit-identical vectors to a fresh construction over the same
-        batch — the context only amortises the target-independent arrays.
-        """
-        self = cls.__new__(cls)
-        self._init_from_context(context, target_points=target_points,
-                                irsd_cap=irsd_cap,
-                                density_reference=density_reference,
-                                memo=memo)
-        return self
-
-    def _init_from_context(self, context: SharedBatchContext, *,
-                           target_points, irsd_cap: float,
-                           density_reference: str,
-                           memo: Optional[ObjectiveMemoView]) -> None:
+        self._X = self._as_matrix(training_data, grid.phi, "training")
+        if self._X.shape[0] == 0:
+            raise ConfigurationError("training_data must not be empty")
         if density_reference not in ("hybrid", "marginal", "populated", "lattice"):
             raise ConfigurationError(
                 "density_reference must be 'hybrid', 'marginal', 'populated' "
                 f"or 'lattice', got {density_reference!r}"
             )
-        grid = context.grid
         self._density_reference = density_reference
         self._grid = grid
         self._irsd_cap = irsd_cap
         self._memo = memo
-        self._X = context.X
         m = grid.cells_per_dimension
-        self._idx = context.idx
+        lows = np.asarray(grid.bounds.lows, dtype=np.float64)
+        widths = np.asarray(grid.cell_widths, dtype=np.float64)
+        self._idx = quantize_batch(self._X, lows, widths, m)
         # Per-dimension marginal histograms of the batch, used by the
         # independence expectation (hybrid / marginal references).
-        self._marginals = context.marginals
+        self._marginals = marginal_histograms(self._idx, m)
         if target_points is None:
             self._tidx = self._idx
         else:
             T = self._as_matrix(target_points, grid.phi, "target")
             if T.shape[0] == 0:
                 raise ConfigurationError("target_points must not be empty")
-            self._tidx = quantize_batch(T, context.lows, context.widths, m)
+            self._tidx = quantize_batch(T, lows, widths, m)
         self._total = float(self._X.shape[0])
-        self._ustd = context.ustd
+        self._ustd = np.array([grid.uniform_cell_std(d)
+                               for d in range(grid.phi)], dtype=np.float64)
         self._cache: Dict[Subspace, Tuple[float, ...]] = {}
         self._evaluations = 0
 
@@ -422,30 +358,24 @@ class BatchSparsityObjectives:
 
 
 def make_sparsity_objectives(training_data, grid, *,
-                             engine: str = "python",
+                             engine: str = "vectorized",
                              target_points=None,
                              irsd_cap: float = 100.0,
                              density_reference: str = "hybrid",
-                             memo: Optional[ObjectiveMemoView] = None,
-                             context: Optional[SharedBatchContext] = None):
+                             memo: Optional[ObjectiveMemoView] = None):
     """Build the sparsity objectives matching a ``SPOTConfig.engine`` value.
 
     ``"python"`` returns the reference :class:`SparsityObjectives` (the parity
     oracle); ``"vectorized"`` returns :class:`BatchSparsityObjectives`.  Both
     produce bit-identical objective vectors — the switch only trades
-    interpreter loops for fused array passes.  ``context`` (vectorized engine
-    only) reuses a pre-quantised snapshot instead of ``training_data``;
-    ``memo`` shares evaluations across searches on one reservoir version.
+    interpreter loops for fused array passes.  ``memo`` shares evaluations
+    across searches on one reservoir version.
     """
     if engine not in ("python", "vectorized"):
         raise ConfigurationError(
             f"engine must be 'python' or 'vectorized', got {engine!r}"
         )
     if engine == "vectorized":
-        if context is not None:
-            return BatchSparsityObjectives.from_context(
-                context, target_points=target_points, irsd_cap=irsd_cap,
-                density_reference=density_reference, memo=memo)
         return BatchSparsityObjectives(
             training_data, grid, target_points=target_points,
             irsd_cap=irsd_cap, density_reference=density_reference, memo=memo)

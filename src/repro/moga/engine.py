@@ -245,7 +245,7 @@ def find_sparse_subspaces(training_data: Sequence[Sequence[float]],
                           max_dimension: int = 4,
                           seed: int = 0,
                           seeds: Optional[Sequence[Subspace]] = None,
-                          engine: str = "python"
+                          engine: str = "vectorized"
                           ) -> List[Tuple[Subspace, float]]:
     """Convenience wrapper: run MOGA and return the top-k sparse subspaces.
 

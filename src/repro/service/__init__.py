@@ -27,10 +27,8 @@ detector shards.
 * :class:`~repro.service.learning.LearningCoordinator` — the asynchronous
   learning half: detection shards in deferred-learning mode emit learn
   requests (outlier-driven growth, CS self-evolution, periodic relearn)
-  that are coalesced per reservoir snapshot, evaluated on a worker pool
-  through snapshot-shared objective contexts, and published back for
-  application at deterministic apply points (decision-identical to inline
-  learning).
+  that are evaluated on a thread pool and published back for application
+  at deterministic apply points (decision-identical to inline learning).
 * :class:`~repro.service.supervisor.ShardSupervisor` — the fault-tolerance
   half: crashed shards are restarted from their latest checkpoint snapshot
   and the points committed since are replayed decision-identically; poison
@@ -54,11 +52,7 @@ from .faults import (
     TransientIPCError,
     call_with_retry,
 )
-from .learning import (
-    LearningCoordinator,
-    LearningServiceConfig,
-    LearnTicket,
-)
+from .learning import LearningCoordinator, LearnTicket
 from .rebalance import FleetRebalancer, MigrationReport
 from .ring import DEFAULT_VNODES, ROUTER_KINDS, RingRouter, make_router
 from .router import ShardRouter
@@ -84,7 +78,6 @@ __all__ = [
     "InjectedFault",
     "LearnTicket",
     "LearningCoordinator",
-    "LearningServiceConfig",
     "MicroBatcher",
     "MigrationReport",
     "ProcessShardWorker",

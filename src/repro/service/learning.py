@@ -5,19 +5,17 @@ shards running in deferred-learning mode emit
 :mod:`repro.learning.requests` objects (self-evolution due, outlier-driven
 growth, periodic relearn) instead of searching inline; the coordinator
 
-* **coalesces** the requests of one apply point — they share a reservoir
-  snapshot version — into a single evaluation task,
-* **shares** one :class:`~repro.moga.batch_objectives.SharedBatchContext`
-  (quantised batch, marginals, objective memo) per snapshot, so every search
-  over the same reservoir skips the per-search batch preparation and reuses
-  memoised objective vectors,
-* **evaluates** on a configurable worker pool — threads by default (NumPy
-  releases the GIL inside the fused objective passes), one-task-per-process
-  optionally — overlapping searches with each other and with the shards'
-  detection work,
+* **evaluates** every request with
+  :func:`~repro.learning.requests.evaluate_learn_request` on a thread pool
+  (NumPy releases the GIL inside the fused objective passes), overlapping
+  searches with each other and with the shards' detection work,
 * **publishes** the resulting ranked subspaces back as
   :class:`~repro.learning.requests.LearnPublication` objects, which the
   shard workers apply at the request's deterministic apply point.
+
+A shard submits the requests of one apply point together, as one group on
+one reservoir snapshot; the group's publications come back in request
+order through a single :class:`LearnTicket`.
 
 Because every request is pure data and every evaluation is a pure function,
 the publications are bit-identical to what the synchronous path computes —
@@ -28,126 +26,45 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.exceptions import ConfigurationError
-from ..core.grid import DomainBounds, Grid
-from ..learning.requests import (
-    LearnPublication,
-    evaluate_learn_request,
-    request_from_dict,
-)
-from ..moga import BatchSparsityObjectives, SharedBatchContext
+from ..core.grid import Grid
+from ..learning.requests import LearnPublication, evaluate_learn_request
 from ..obs.trace import NULL_TRACER
-
-LEARNING_WORKER_MODES = ("thread", "process")
-
-
-@dataclass(frozen=True)
-class LearningServiceConfig:
-    """Tunables of the learning coordinator (not of the searches themselves)."""
-
-    workers: int = 2
-    worker_mode: str = "thread"
-    #: Shared snapshot contexts kept warm (LRU).  One per in-flight reservoir
-    #: version is plenty; a few extra absorb bursts from many shards.
-    context_cache_size: int = 8
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be positive, got {self.workers}")
-        if self.worker_mode not in LEARNING_WORKER_MODES:
-            raise ConfigurationError(
-                f"worker_mode must be one of {LEARNING_WORKER_MODES}, "
-                f"got {self.worker_mode!r}")
-        if self.context_cache_size < 1:
-            raise ConfigurationError("context_cache_size must be positive")
 
 
 class LearnTicket:
     """Handle on one submitted request group; resolves to its publications."""
 
-    def __init__(self, request_ids: Sequence[str], future: Future,
-                 *, from_dicts: bool) -> None:
+    def __init__(self, request_ids: Sequence[str], future: Future) -> None:
         self.request_ids = tuple(request_ids)
         self._future = future
-        self._from_dicts = from_dicts
 
     def wait(self, timeout: Optional[float] = None) -> List[LearnPublication]:
         """Block until the group is evaluated; publications in request order."""
-        payload = self._future.result(timeout=timeout)
-        if self._from_dicts:
-            return [LearnPublication.from_dict(entry) for entry in payload]
-        return list(payload)
+        return list(self._future.result(timeout=timeout))
 
     def done(self) -> bool:
         """Whether the evaluation has finished (successfully or not)."""
         return self._future.done()
 
 
-def _grid_payload(grid: Grid) -> dict:
-    return {"lows": list(grid.bounds.lows),
-            "highs": list(grid.bounds.highs),
-            "cells_per_dimension": grid.cells_per_dimension}
-
-
-def _grid_from_payload(payload: dict) -> Grid:
-    return Grid(bounds=DomainBounds(lows=tuple(payload["lows"]),
-                                    highs=tuple(payload["highs"])),
-                cells_per_dimension=int(payload["cells_per_dimension"]))
-
-
-def _evaluate_group_remote(grid_payload: dict,
-                           request_payloads: List[dict]) -> List[dict]:
-    """Process-pool task: rebuild the group from plain data and evaluate it.
-
-    Requests of one group share a snapshot, so even without the coordinator's
-    cross-group context cache the group builds its shared context once.
-    """
-    grid = _grid_from_payload(grid_payload)
-    requests = [request_from_dict(payload) for payload in request_payloads]
-    context: Optional[SharedBatchContext] = None
-    publications = []
-    for request in requests:
-        objectives = None
-        if request.engine == "vectorized":
-            if context is None or context.version != request.snapshot.version:
-                context = SharedBatchContext(request.snapshot.points, grid,
-                                             version=request.snapshot.version)
-            objectives = BatchSparsityObjectives.from_context(
-                context, target_points=request.target_points,
-                memo=context.memo_view(request.target_key))
-        publications.append(
-            evaluate_learn_request(request, grid, objectives=objectives))
-    return [publication.to_dict() for publication in publications]
-
-
 class LearningCoordinator:
-    """Evaluates learn requests on a worker pool, one context per snapshot."""
+    """Evaluates learn requests on a pool of ``workers`` threads."""
 
-    def __init__(self, config: Optional[LearningServiceConfig] = None, *,
-                 tracer=None) -> None:
-        self.config = config if config is not None else LearningServiceConfig()
+    def __init__(self, workers: int = 2, *, tracer=None) -> None:
+        if workers < 1:
+            raise ConfigurationError(
+                f"workers must be positive, got {workers}")
+        self.workers = workers
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._executor = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
-        #: (shard_id, snapshot version) -> SharedBatchContext, LRU-bounded.
-        self._contexts: "OrderedDict[Tuple[int, int], SharedBatchContext]" = \
-            OrderedDict()
         self._started = False
         self._stopped = False
         self._requests = 0
-        self._groups = 0
-        self._contexts_built = 0
-        self._context_reuses = 0
-        # Memo traffic of contexts already evicted from the LRU cache, so
-        # stats() reports lifetime totals rather than the surviving tail.
-        self._evicted_memo_hits = 0
-        self._evicted_memo_misses = 0
         self._kind_counts: Dict[str, int] = {}
         self._busy_seconds = 0.0
 
@@ -161,27 +78,17 @@ class LearningCoordinator:
         if self._stopped:
             raise ConfigurationError(
                 "a stopped coordinator cannot be restarted")
-        if self.config.worker_mode == "thread":
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="spot-learn")
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.config.workers)
+        self._executor = ThreadPoolExecutor(max_workers=self.workers,
+                                            thread_name_prefix="spot-learn")
         self._started = True
         return self
 
-    def stop(self, timeout: Optional[float] = None) -> None:
+    def stop(self) -> None:
         """Finish in-flight evaluations and shut the pool down."""
         if not self._started or self._stopped:
             return
         self._stopped = True
         assert self._executor is not None
-        # ``timeout`` is advisory: Executor.shutdown has no timeout knob, but
-        # evaluations are finite MOGA runs, so waiting is bounded in practice.
-        del timeout
         self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "LearningCoordinator":
@@ -197,9 +104,9 @@ class LearningCoordinator:
                ) -> LearnTicket:
         """Queue one apply point's request group; returns its ticket.
 
-        All requests of a group must share one reservoir snapshot (they are
-        the triggers of a single stream position); the group is evaluated as
-        one pool task through one shared objective context.
+        All requests of a group must share one reservoir snapshot: they are
+        the triggers of a single stream position, and the worker applies
+        their publications together at that one apply point.
         """
         if not self._started or self._stopped:
             raise ConfigurationError(
@@ -213,81 +120,24 @@ class LearningCoordinator:
                 f"got {sorted(versions)}")
         with self._lock:
             self._requests += len(requests)
-            self._groups += 1
             for request in requests:
                 self._kind_counts[request.kind] = \
                     self._kind_counts.get(request.kind, 0) + 1
         assert self._executor is not None
-        if self.config.worker_mode == "process":
-            future = self._executor.submit(
-                _evaluate_group_remote, _grid_payload(grid),
-                [request.to_dict() for request in requests])
-            return LearnTicket([r.request_id for r in requests], future,
-                               from_dicts=True)
         future = self._executor.submit(self._evaluate_group, shard_id, grid,
                                        list(requests))
-        return LearnTicket([r.request_id for r in requests], future,
-                           from_dicts=False)
-
-    # ------------------------------------------------------------------ #
-    # Evaluation (thread mode)
-    # ------------------------------------------------------------------ #
-    def _context_for(self, shard_id: int, grid: Grid,
-                     snapshot) -> SharedBatchContext:
-        key = (shard_id, snapshot.version)
-        with self._lock:
-            context = self._contexts.get(key)
-            if context is not None:
-                self._contexts.move_to_end(key)
-                self._context_reuses += 1
-                return context
-        # Built outside the lock (quantisation is the expensive part); a
-        # racing builder for the same key just wastes one build.
-        context = SharedBatchContext(snapshot.points, grid,
-                                     version=snapshot.version)
-        with self._lock:
-            self._contexts_built += 1
-            self._contexts[key] = context
-            while len(self._contexts) > self.config.context_cache_size:
-                _, evicted = self._contexts.popitem(last=False)
-                self._evicted_memo_hits += evicted.memo.hits
-                self._evicted_memo_misses += evicted.memo.misses
-        return context
-
-    def evict_shard(self, shard_id: int) -> int:
-        """Drop every cached snapshot context of one shard.
-
-        Called by the service when a shard is restarted after a crash: the
-        dead worker's reservoir snapshots are gone, so their contexts can
-        never be reused and would only squat in the LRU.  Returns how many
-        contexts were evicted.
-        """
-        with self._lock:
-            stale = [key for key in self._contexts if key[0] == shard_id]
-            for key in stale:
-                evicted = self._contexts.pop(key)
-                self._evicted_memo_hits += evicted.memo.hits
-                self._evicted_memo_misses += evicted.memo.misses
-        return len(stale)
+        return LearnTicket([r.request_id for r in requests], future)
 
     def _evaluate_group(self, shard_id: int, grid: Grid,
                         requests: List) -> List[LearnPublication]:
         started = time.perf_counter()
-        publications = []
         with self.tracer.span("learning.evaluate", shard=shard_id,
                               request=requests[0].request_id,
                               n=len(requests)):
-            for request in requests:
-                objectives = None
-                if request.engine == "vectorized":
-                    context = self._context_for(shard_id, grid,
-                                                request.snapshot)
-                    objectives = BatchSparsityObjectives.from_context(
-                        context, target_points=request.target_points,
-                        memo=context.memo_view(request.target_key))
-                publications.append(
-                    evaluate_learn_request(request, grid,
-                                           objectives=objectives))
+            # Looked up as a module global at call time, so a wrapper bound
+            # to this module's ``evaluate_learn_request`` sees every search.
+            publications = [evaluate_learn_request(request, grid)
+                            for request in requests]
         with self._lock:
             self._busy_seconds += time.perf_counter() - started
         return publications
@@ -298,20 +148,9 @@ class LearningCoordinator:
     def stats(self) -> Dict[str, object]:
         """Coordinator-side serving statistics."""
         with self._lock:
-            memo_hits = self._evicted_memo_hits + \
-                sum(c.memo.hits for c in self._contexts.values())
-            memo_misses = self._evicted_memo_misses + \
-                sum(c.memo.misses for c in self._contexts.values())
             return {
-                "workers": self.config.workers,
-                "worker_mode": self.config.worker_mode,
+                "workers": self.workers,
                 "requests": self._requests,
-                "request_groups": self._groups,
-                "coalesced_requests": self._requests - self._groups,
-                "contexts_built": self._contexts_built,
-                "context_reuses": self._context_reuses,
-                "memo_hits": memo_hits,
-                "memo_misses": memo_misses,
                 "busy_seconds": round(self._busy_seconds, 4),
                 "kinds": dict(self._kind_counts),
             }

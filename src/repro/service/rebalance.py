@@ -271,8 +271,6 @@ class FleetRebalancer:
                     f"{type(failure).__name__}: {failure}")
             if service._supervisor is not None:
                 service._supervisor.drop_shard(shard_id)
-            if service._coordinator is not None:
-                service._coordinator.evict_shard(shard_id)
         with service._lock:
             # The ShardStats counters stay registered in the metrics
             # registry, so fleet totals (stats()["points"], robustness)

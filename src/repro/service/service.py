@@ -45,7 +45,7 @@ from ..streams.tagged import TaggedStreamPoint
 from .batcher import FULL_POLICIES, BatchItem, MicroBatcher
 from .checkpoint import CheckpointManager
 from .faults import FaultInjector, FaultPlan, InjectedFault
-from .learning import LearningCoordinator, LearningServiceConfig
+from .learning import LearningCoordinator
 from .ring import ROUTER_KINDS, make_router
 from .router import ShardRouter
 from .supervisor import ShardSupervisor
@@ -85,7 +85,6 @@ class ServiceConfig:
     #: modes make identical decisions.
     learning_mode: str = "sync"
     learning_workers: int = 2
-    learning_worker_mode: str = "thread"
     #: Take a checkpoint every this many submitted points (0 disables the
     #: periodic trigger; explicit :meth:`DetectionService.checkpoint` calls
     #: always work).  Requires ``checkpoint_dir``.
@@ -181,19 +180,6 @@ class ServiceConfig:
         if self.slo is not None and not isinstance(self.slo, SLOObjectives):
             raise ConfigurationError(
                 "slo must be an SLOObjectives instance or None")
-
-    def learning_config(self) -> LearningServiceConfig:
-        """The coordinator configuration this service config implies.
-
-        The snapshot-context cache is keyed per shard, so it scales with the
-        fleet: every shard can keep its current reservoir's context warm
-        (plus slack for in-flight version turnover) regardless of shard
-        count.
-        """
-        return LearningServiceConfig(
-            workers=self.learning_workers,
-            worker_mode=self.learning_worker_mode,
-            context_cache_size=max(8, self.n_shards + 2))
 
 
 @dataclass(frozen=True)
@@ -367,8 +353,7 @@ class DetectionService:
             raise ConfigurationError("a stopped service cannot be restarted")
         if self.config.learning_mode == "async":
             self._coordinator = LearningCoordinator(
-                self.config.learning_config(),
-                tracer=self._tracer).start()
+                self.config.learning_workers, tracer=self._tracer).start()
         if self.config.supervise:
             self._supervisor = ShardSupervisor(
                 self,
@@ -675,10 +660,6 @@ class DetectionService:
 
     def _install_replacement(self, shard_id: int, detector: SPOT) -> None:
         """Swap a recovered detector + fresh worker into the registry."""
-        if self._coordinator is not None:
-            # The dead worker's snapshot contexts are stale; drop them so
-            # the restarted shard's searches build from its own snapshots.
-            self._coordinator.evict_shard(shard_id)
         batcher = self._batchers[shard_id]
         detector.bind_obs(tracer=self._tracer, recorder=self._recorder,
                           registry=self.metrics)

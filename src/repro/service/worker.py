@@ -39,6 +39,7 @@ from typing import Callable, List, Optional
 
 from ..core.detector import SPOT
 from ..core.exceptions import ConfigurationError
+from ..core.grid import Grid
 from ..metrics.throughput import LatencySeries
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import NULL_RECORDER
@@ -52,7 +53,6 @@ from .faults import (
     TransientIPCError,
     call_with_retry,
 )
-from ..learning.requests import request_from_dict
 from .learning import LearningCoordinator, LearnTicket
 
 ResultsCallback = Callable[..., None]
@@ -419,18 +419,15 @@ def _process_worker_main(state_payload: dict, inbox, outbox,
     searches now, then stays sync.  With ``deferred=True`` the child runs
     the request/publication protocol *over the IPC queues*: learn requests
     emitted by the detector are shipped to the parent as ``("learn", gid,
-    grid, requests)`` groups (everything JSON round-trippable), the parent
-    evaluates them on the shared :class:`LearningCoordinator` pool, and the
+    grid, requests)`` groups (the queues pickle them), the parent evaluates
+    them on the shared :class:`LearningCoordinator` pool, and the
     publications come back through the inbox as ``("publications", gid,
-    payloads)`` — applied here in group order at the detector's
+    publications)`` — applied here in group order at the detector's
     deterministic apply points, so process-shard async decisions are
     identical to sync ones.
     """
     import os
     from collections import deque
-
-    from ..learning.requests import LearnPublication
-    from .learning import _grid_payload
 
     detector = SPOT.from_state(state_payload)
     detector.set_deferred_learning(bool(deferred))
@@ -442,7 +439,7 @@ def _process_worker_main(state_payload: dict, inbox, outbox,
     #: replayed (in order) before anything newly read.
     backlog: "deque" = deque()
     sent: dict = {}      # request_id -> group id already shipped
-    received: dict = {}  # group id -> publication payloads (None = failed)
+    received: dict = {}  # group id -> publications (None = failed)
     next_gid = [0]
 
     def dispatch_new_learns() -> None:
@@ -452,8 +449,7 @@ def _process_worker_main(state_payload: dict, inbox, outbox,
             return
         gid = next_gid[0]
         next_gid[0] += 1
-        outbox.put(("learn", gid, _grid_payload(detector.grid),
-                    [request.to_dict() for request in new]))
+        outbox.put(("learn", gid, detector.grid, new))
         for request in new:
             sent[request.request_id] = gid
 
@@ -474,14 +470,13 @@ def _process_worker_main(state_payload: dict, inbox, outbox,
                     received[message[1]] = message[2]
                 else:
                     backlog.append(message)
-            payloads = received.pop(gid)
-            if payloads is None:
+            publications = received.pop(gid)
+            if publications is None:
                 raise ConfigurationError(
                     "the learning coordinator failed to evaluate a "
                     "request group")
-            for payload in payloads:
-                detector.apply_learn_publication(
-                    LearnPublication.from_dict(payload))
+            for publication in publications:
+                detector.apply_learn_publication(publication)
             for request_id in [rid for rid, g in sent.items() if g == gid]:
                 sent.pop(request_id, None)
 
@@ -822,17 +817,15 @@ class ProcessShardWorker:
             elif kind == "stopped":
                 return
 
-    def _handle_learn(self, gid: int, grid_payload: dict,
-                      request_payloads: list) -> None:
+    def _handle_learn(self, gid: int, grid: Grid, requests: list) -> None:
         """Bridge one child learn-request group onto the coordinator pool.
 
         The submit + wait runs on its own daemon thread so the collector
         keeps delivering results while a MOGA search is in flight — exactly
         the latency-hiding the thread flavour gets from deferred learning.
-        The reply (``("publications", gid, payloads)``, with ``None``
+        The reply (``("publications", gid, publications)``, with ``None``
         signalling a failed evaluation) goes back through the child's inbox.
         """
-        from .learning import _grid_from_payload
 
         def evaluate() -> None:
             try:
@@ -840,13 +833,8 @@ class ProcessShardWorker:
                     raise ConfigurationError(
                         f"shard {self.shard_id} sent a learn request but no "
                         f"learning coordinator is attached")
-                grid = _grid_from_payload(grid_payload)
-                requests = [request_from_dict(payload)
-                            for payload in request_payloads]
                 ticket = self.learning.submit(self.shard_id, grid, requests)
-                publications = ticket.wait(timeout=ShardWorker.LEARN_TIMEOUT)
-                reply = [publication.to_dict()
-                         for publication in publications]
+                reply = ticket.wait(timeout=ShardWorker.LEARN_TIMEOUT)
             except Exception:
                 reply = None
             try:

@@ -27,7 +27,6 @@ from repro.learning.requests import (
 from repro.moga import (
     BatchSparsityObjectives,
     ObjectiveMemo,
-    SharedBatchContext,
     SparsityObjectives,
 )
 from repro.core.grid import DomainBounds, Grid
@@ -36,7 +35,6 @@ from repro.service import (
     CheckpointManager,
     DetectionService,
     LearningCoordinator,
-    LearningServiceConfig,
     ServiceConfig,
 )
 
@@ -205,23 +203,6 @@ class TestObjectiveMemo:
         assert "objective_memo_misses" in footprint
 
 
-class TestSharedBatchContext:
-    def test_context_objectives_match_fresh_construction_bit_for_bit(self):
-        grid, batch = _toy_grid(), _toy_batch()
-        context = SharedBatchContext(batch, grid, version=9)
-        subspaces = [Subspace((0,)), Subspace((0, 1)), Subspace((1, 2))]
-        fresh = BatchSparsityObjectives(batch, grid)
-        shared = BatchSparsityObjectives.from_context(context)
-        assert shared.evaluate_population(subspaces) == \
-            fresh.evaluate_population(subspaces)
-        target = [batch[3]]
-        fresh_t = BatchSparsityObjectives(batch, grid, target_points=target)
-        shared_t = BatchSparsityObjectives.from_context(context,
-                                                        target_points=target)
-        assert shared_t.evaluate_population(subspaces) == \
-            fresh_t.evaluate_population(subspaces)
-
-
 # --------------------------------------------------------------------- #
 # Deferred learning at the detector level
 # --------------------------------------------------------------------- #
@@ -303,12 +284,27 @@ class TestLearningCoordinator:
             done += len(detector.process_batch(points[done:]))
         requests = list(detector.pending_learn_requests)
         assert requests
-        with LearningCoordinator(LearningServiceConfig(workers=2)) as coord:
-            ticket = coord.submit(0, detector.grid, requests)
-            publications = ticket.wait(timeout=120.0)
-        inline = [detector._learning_component_for(r.kind).evaluate(r)
-                  for r in requests]
-        assert publications == inline
+        # A three-request group on the same snapshot, as a worker submits
+        # every trigger of one apply point together.
+        snapshot = requests[0].snapshot
+        growths = [
+            GrowthRequest(
+                request_id=f"os_growth-group-{n}",
+                position=requests[0].position, outlier=outlier,
+                seed=7000 + n, top_k=2, population_size=12, generations=4,
+                mutation_rate=0.05, crossover_rate=0.9, max_dimension=2,
+                engine="vectorized", snapshot=snapshot)
+            for n, outlier in enumerate(snapshot.points[:3])
+        ]
+        groups = [requests, growths]
+        with LearningCoordinator(workers=2) as coord:
+            tickets = [coord.submit(0, detector.grid, group)
+                       for group in groups]
+            published = [ticket.wait(timeout=120.0) for ticket in tickets]
+        for group, publications in zip(groups, published):
+            inline = [detector._learning_component_for(r.kind).evaluate(r)
+                      for r in group]
+            assert publications == inline
 
     def test_mixed_snapshot_versions_are_rejected(self):
         grid = _toy_grid(phi=2)
@@ -324,31 +320,9 @@ class TestLearningCoordinator:
             with pytest.raises(ConfigurationError):
                 coord.submit(0, grid, [growth(1, 1), growth(2, 2)])
 
-    def test_coalesced_requests_share_one_context(self):
-        grid = _toy_grid(phi=2)
-        batch = tuple(_toy_batch(n=30, phi=2))
-        snapshot = ReservoirSnapshot(version=5, points=batch)
-        requests = [
-            GrowthRequest(
-                request_id=f"os_growth-{n}", position=10, outlier=batch[n],
-                seed=5000 + n, top_k=2, population_size=10, generations=5,
-                mutation_rate=0.05, crossover_rate=0.9, max_dimension=2,
-                engine="vectorized", snapshot=snapshot)
-            for n in (1, 2, 3)
-        ]
-        with LearningCoordinator() as coord:
-            coord.submit(0, grid, requests).wait(timeout=120.0)
-            stats = coord.stats()
-        assert stats["requests"] == 3
-        assert stats["coalesced_requests"] == 2
-        assert stats["contexts_built"] == 1
-        assert stats["context_reuses"] == 2
-
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            LearningServiceConfig(workers=0)
-        with pytest.raises(ConfigurationError):
-            LearningServiceConfig(worker_mode="fiber")
+            LearningCoordinator(workers=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(learning_mode="lazy")
         with pytest.raises(ConfigurationError):
@@ -375,16 +349,6 @@ class TestServiceLearningParity:
                                     learning_workers=workers)
             assert _flags(replayed) == sync_flags
             assert _ssts(replayed) == sync_ssts
-
-    def test_async_process_pool_matches_sync(self, prototype, tenant_workload):
-        points = tenant_workload.detection[:600]
-        sync = _run_service(prototype, points, n_shards=2, max_batch=128)
-        async_proc = _run_service(prototype, points, n_shards=2,
-                                  max_batch=128, learning_mode="async",
-                                  learning_workers=2,
-                                  learning_worker_mode="process")
-        assert _flags(async_proc) == _flags(sync)
-        assert _ssts(async_proc) == _ssts(sync)
 
     def test_stats_report_learning_and_path_latency(
             self, prototype, tenant_workload):

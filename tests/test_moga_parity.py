@@ -123,8 +123,9 @@ class TestObjectiveVectorParity:
 
     def test_factory_selects_engine(self):
         data, _, grid = _random_instance(11)
-        assert isinstance(make_sparsity_objectives(data, grid),
-                          SparsityObjectives)
+        assert isinstance(
+            make_sparsity_objectives(data, grid, engine="python"),
+            SparsityObjectives)
         assert isinstance(
             make_sparsity_objectives(data, grid, engine="vectorized"),
             BatchSparsityObjectives)

@@ -316,16 +316,6 @@ class TestCliSmoke:
         assert main(["bench", "--list"]) == 0
         assert "serving-sweep" in capsys.readouterr().out
 
-    def test_legacy_aliases_share_the_spec_schemas(self):
-        # The alias keeps its historical flag spellings but resolves them
-        # against the registered spec's parameter schema.
-        from repro.cli import _build_parser
-        args = _build_parser().parse_args(
-            ["bench-learn-service", "--tenants", "3", "--points", "120"])
-        assert args.id == "learning-service"
-        assert args.n_tenants == 3
-        assert args.n_detection_per_tenant == 120
-
     def test_generic_bench_keeps_historic_throughput_flags(self):
         from repro.cli import _build_parser
         args = _build_parser().parse_args(
