@@ -159,8 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-delay", type=float, default=0.002,
                        help="max seconds a partial micro-batch waits for more "
                             "points")
-    serve.add_argument("--workers", choices=("thread", "process"),
-                       default="thread", help="shard worker flavour")
     serve.add_argument("--router", choices=("static", "ring"),
                        default="static",
                        help="shard router: static modulo placement, or the "
@@ -629,7 +627,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         n_shards=args.shards,
         max_batch=args.max_batch,
         max_delay=args.max_delay,
-        worker_mode=args.workers,
         router=args.router,
         learning_mode=args.learning_mode,
         learning_workers=args.learning_workers,
@@ -652,8 +649,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         })
     service.start()
     print(f"Serving {len(to_serve)} of {len(workload.detection)} points "
-          f"across {args.shards} shards ({args.workers} workers, "
-          f"{args.learning_mode} learning)...")
+          f"across {args.shards} shards ({args.learning_mode} learning)...")
     service.submit_tagged(to_serve)
     service.drain()
     if args.checkpoint_dir:

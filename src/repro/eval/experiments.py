@@ -626,7 +626,6 @@ def experiment_e5_service(*, n_tenants: int = 6, dimensions: int = 10,
                           n_detection_per_tenant: int = 500,
                           n_shards: int = 4, max_batch: int = 512,
                           max_delay: float = 0.002,
-                          worker_mode: str = "thread",
                           seed: int = 19) -> ExperimentReport:
     """Multi-tenant serving: sharded micro-batched service vs the baselines.
 
@@ -704,8 +703,7 @@ def experiment_e5_service(*, n_tenants: int = 6, dimensions: int = 10,
     # The sharded service itself.
     service = DetectionService.from_prototype(
         prototype, ServiceConfig(n_shards=n_shards, max_batch=max_batch,
-                                 max_delay=max_delay,
-                                 worker_mode=worker_mode))
+                                 max_delay=max_delay))
     service.start()
     started = time.perf_counter()
     service.submit_tagged(workload.detection)

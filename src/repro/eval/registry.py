@@ -215,9 +215,6 @@ _E5_PARAMS = (
           help="micro-batch coalescing limit per shard"),
     Param(name="max_delay", type="float", default=0.002,
           help="max seconds a partial micro-batch waits for more points"),
-    Param(name="worker_mode", type="str", default="thread",
-          choices=("thread", "process"), flag="--workers",
-          help="shard worker flavour"),
     _seed(19),
 )
 

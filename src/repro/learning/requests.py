@@ -262,26 +262,6 @@ class LearnPublication:
     ranked: Tuple[Tuple[Subspace, float], ...]
     memory: Dict[str, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "kind": self.kind,
-            "ranked": [{"dims": list(s.dimensions), "score": score}
-                       for s, score in self.ranked],
-            "memory": dict(self.memory),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LearnPublication":
-        return cls(
-            request_id=str(payload["request_id"]),
-            kind=str(payload["kind"]),
-            ranked=tuple((Subspace(entry["dims"]), float(entry["score"]))
-                         for entry in payload["ranked"]),
-            memory={str(k): int(v)
-                    for k, v in (payload.get("memory") or {}).items()},
-        )
-
 
 def request_from_dict(payload: dict):
     """Rebuild a learn request of any kind from its ``to_dict`` payload."""

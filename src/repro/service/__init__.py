@@ -17,10 +17,9 @@ detector shards.
 * :class:`~repro.service.batcher.MicroBatcher` — per-shard FIFO queues that
   coalesce arrivals into ``process_batch``-sized chunks under a
   max-batch-size / max-delay policy, with bounded-queue backpressure.
-* :class:`~repro.service.worker.ShardWorker` /
-  :class:`~repro.service.worker.ProcessShardWorker` — the worker pool driving
-  the vectorized engine (threads by default, one OS process per shard
-  optionally), reporting per-shard throughput and latency percentiles.
+* :class:`~repro.service.worker.ShardWorker` — one thread per shard driving
+  the vectorized engine, reporting per-shard throughput and latency
+  percentiles.
 * :class:`~repro.service.checkpoint.CheckpointManager` — periodic full-state
   snapshots of every shard; a whole service can be restored and resumed
   decision-identically.
@@ -34,8 +33,8 @@ detector shards.
   and the points committed since are replayed decision-identically; poison
   points are quarantined instead of retried forever.
 * :mod:`~repro.service.faults` — deterministic, seedable fault injection
-  (worker crashes, queue stalls, IPC failures, checkpoint-write failures)
-  plus the bounded retry/backoff policy the process-shard IPC uses.
+  (worker crashes, queue stalls, checkpoint-write failures, migration
+  crashes).
 * :class:`~repro.service.service.DetectionService` — the facade wiring the
   pieces together (``ServiceConfig.learning_mode`` picks sync or async,
   ``ServiceConfig.supervise`` turns fail-stop shards into fail-recover
@@ -44,26 +43,14 @@ detector shards.
 
 from .batcher import BatchItem, FULL_POLICIES, MicroBatcher
 from .checkpoint import CheckpointManager, SERVICE_MANIFEST_VERSION
-from .faults import (
-    FaultInjector,
-    FaultPlan,
-    InjectedFault,
-    RetryPolicy,
-    TransientIPCError,
-    call_with_retry,
-)
+from .faults import FaultInjector, FaultPlan, InjectedFault
 from .learning import LearningCoordinator, LearnTicket
 from .rebalance import FleetRebalancer, MigrationReport
 from .ring import DEFAULT_VNODES, ROUTER_KINDS, RingRouter, make_router
 from .router import ShardRouter
 from .service import DetectionService, ServiceConfig, ServiceResult
 from .supervisor import ShardSupervisor
-from .worker import (
-    DEADLINE_POLICIES,
-    ProcessShardWorker,
-    ShardStats,
-    ShardWorker,
-)
+from .worker import DEADLINE_POLICIES, ShardStats, ShardWorker
 
 __all__ = [
     "BatchItem",
@@ -80,9 +67,7 @@ __all__ = [
     "LearningCoordinator",
     "MicroBatcher",
     "MigrationReport",
-    "ProcessShardWorker",
     "ROUTER_KINDS",
-    "RetryPolicy",
     "RingRouter",
     "SERVICE_MANIFEST_VERSION",
     "ServiceConfig",
@@ -91,7 +76,5 @@ __all__ = [
     "ShardStats",
     "ShardSupervisor",
     "ShardWorker",
-    "TransientIPCError",
-    "call_with_retry",
     "make_router",
 ]

@@ -7,47 +7,37 @@ faults fire and where:
 
 * **worker crash at point k** — the worker owning global sequence ``k``
   commits a prefix of the batch containing ``k`` to its detector and then
-  dies (a hard ``os._exit`` in process mode), leaving a torn batch whose
-  results were never delivered.  This is the worst case the supervisor's
-  snapshot-plus-replay recovery has to absorb.
+  dies, leaving a torn batch whose results were never delivered.  This is
+  the worst case the supervisor's snapshot-plus-replay recovery has to
+  absorb.
 * **checkpoint-write failure at save n** — the n-th checkpoint save writes
   its shard files and dies before the manifest rename, exercising the
   crash-safety contract (the previous checkpoint stays complete).
 * **queue stall at point k** — the batch containing ``k`` sleeps before
   scoring, aging everything queued behind it past any configured deadline
-  (drives the shed path) and exercising IPC retry in process mode.
-* **transient IPC failure at point k** — the first attempt to ship the
-  batch containing ``k`` over the process-shard inbox raises, exercising
-  the bounded retry/backoff path.
+  (drives the shed path).
+* **migration crash at resize n** — the n-th fleet migration crashes inside
+  its migration window, exercising the rebalancer's rollback.
 
 Because every trigger is keyed on a global sequence number and each point
 reaches exactly one shard exactly once, a plan fires the same faults at the
 same stream positions on every run — and replayed points recovered by the
 supervisor never re-trigger an environmental fault (only genuinely poison
 points crash again, which is exactly the semantics quarantine needs).
-
-:class:`RetryPolicy` lives here too: bounded exponential backoff with
-deterministic jitter, used by the process-shard IPC path and testable
-against injected transient failures.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError, SPOTError
 
 
 class InjectedFault(SPOTError):
     """An error raised on purpose by the fault-injection harness."""
-
-
-class TransientIPCError(SPOTError):
-    """A (simulated) transient queue failure; retrying is expected to work."""
 
 
 @dataclass(frozen=True)
@@ -62,8 +52,6 @@ class FaultPlan:
     #: 1-based indices of checkpoint saves that fail before the manifest
     #: rename (shard files written, manifest not updated).
     checkpoint_failures: Tuple[int, ...] = ()
-    #: Seqs whose first IPC ship attempt raises a transient error.
-    ipc_failures: Tuple[int, ...] = ()
     #: 1-based indices of fleet migrations that crash inside the migration
     #: window — after the donor states are exported, before the new topology
     #: commits.  The rebalancer rolls the attempt back (the source keeps
@@ -92,14 +80,12 @@ class FaultPlan:
     def empty(self) -> bool:
         """Whether this plan injects nothing at all."""
         return not (self.crash_points or self.stall_points
-                    or self.checkpoint_failures or self.ipc_failures
-                    or self.migration_crashes)
+                    or self.checkpoint_failures or self.migration_crashes)
 
     @classmethod
     def random(cls, *, seed: int, n_points: int, n_crashes: int = 1,
                n_stalls: int = 0, stall_seconds: float = 0.05,
-               n_checkpoint_failures: int = 0,
-               n_ipc_failures: int = 0) -> "FaultPlan":
+               n_checkpoint_failures: int = 0) -> "FaultPlan":
         """Draw a reproducible plan over a stream of ``n_points`` points.
 
         Crash points are kept away from the first sixth of the stream so
@@ -113,7 +99,7 @@ class FaultPlan:
         low = max(1, n_points // 6)
         high = max(low + 1, n_points - 2)
         candidates = list(range(low, high))
-        n_draws = n_crashes + n_stalls + n_ipc_failures
+        n_draws = n_crashes + n_stalls
         if n_draws > len(candidates):
             raise ConfigurationError(
                 f"cannot place {n_draws} faults in {len(candidates)} slots")
@@ -121,21 +107,18 @@ class FaultPlan:
         crashes = tuple(sorted(drawn[:n_crashes]))
         stalls = tuple(sorted(
             (seq, float(stall_seconds))
-            for seq in drawn[n_crashes:n_crashes + n_stalls]))
-        ipc = tuple(sorted(drawn[n_crashes + n_stalls:]))
+            for seq in drawn[n_crashes:]))
         checkpoints = tuple(range(1, n_checkpoint_failures + 1))
         return cls(crash_points=crashes, stall_points=stalls,
-                   checkpoint_failures=checkpoints, ipc_failures=ipc,
-                   seed=seed)
+                   checkpoint_failures=checkpoints, seed=seed)
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-data form (CLI flags, manifests, cross-process shipping)."""
+        """Plain-data (JSON-ready) form."""
         return {
             "crash_points": list(self.crash_points),
             "stall_points": [[seq, seconds]
                              for seq, seconds in self.stall_points],
             "checkpoint_failures": list(self.checkpoint_failures),
-            "ipc_failures": list(self.ipc_failures),
             "migration_crashes": list(self.migration_crashes),
             "seed": self.seed,
         }
@@ -150,8 +133,6 @@ class FaultPlan:
                 for seq, seconds in payload.get("stall_points", ())),
             checkpoint_failures=tuple(
                 int(i) for i in payload.get("checkpoint_failures", ())),
-            ipc_failures=tuple(
-                int(s) for s in payload.get("ipc_failures", ())),
             migration_crashes=tuple(
                 int(i) for i in payload.get("migration_crashes", ())),
             seed=int(payload.get("seed", 0)),
@@ -173,7 +154,6 @@ class FaultInjector:
         self._lock = threading.Lock()
         self._fired_crashes: set = set()
         self._fired_stalls: set = set()
-        self._fired_ipc: set = set()
         self._checkpoint_saves = 0
         self._checkpoint_failures = 0
         self._migration_attempts = 0
@@ -211,17 +191,6 @@ class FaultInjector:
                     total += seconds
         return total
 
-    def ipc_should_fail(self, seqs: Sequence[int]) -> bool:
-        """Whether this batch's first IPC ship attempt must raise."""
-        with self._lock:
-            for ipc_seq in self.plan.ipc_failures:
-                if ipc_seq in self._fired_ipc:
-                    continue
-                if ipc_seq in seqs:
-                    self._fired_ipc.add(ipc_seq)
-                    return True
-        return False
-
     # ------------------------------------------------------------------ #
     # Checkpoint-side trigger (counted per save attempt)
     # ------------------------------------------------------------------ #
@@ -251,73 +220,10 @@ class FaultInjector:
     def stats(self) -> Dict[str, int]:
         """How many faults of each kind actually fired."""
         with self._lock:
-            stats = {
+            return {
                 "crashes_fired": len(self._fired_crashes),
                 "stalls_fired": len(self._fired_stalls),
-                "ipc_failures_fired": len(self._fired_ipc),
                 "checkpoint_failures_fired": self._checkpoint_failures,
+                "migration_crashes_fired": self._migration_crashes,
             }
-            # Conditional so plans written before the migration fault
-            # existed keep their exact committed stats shape (the chaos
-            # bench artifact and diag fault logs embed this dict).
-            if self.plan.migration_crashes:
-                stats["migration_crashes_fired"] = self._migration_crashes
-        return stats
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter."""
-
-    attempts: int = 4
-    base_delay: float = 0.005
-    multiplier: float = 2.0
-    max_delay: float = 0.25
-    #: Fraction of each delay replaced by a seeded uniform draw, so
-    #: concurrent retriers decorrelate without sacrificing reproducibility.
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ConfigurationError(
-                f"attempts must be positive, got {self.attempts}")
-        if self.base_delay < 0.0 or self.max_delay < 0.0:
-            raise ConfigurationError("retry delays must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}")
-
-    def delays(self, seed: int = 0) -> List[float]:
-        """The sleep before each retry (``attempts - 1`` entries)."""
-        rng = random.Random(seed)
-        out = []
-        delay = self.base_delay
-        for _ in range(self.attempts - 1):
-            capped = min(delay, self.max_delay)
-            jittered = capped * (1.0 - self.jitter * rng.random())
-            out.append(jittered)
-            delay *= self.multiplier
-        return out
-
-
-def call_with_retry(fn: Callable[[], object], policy: RetryPolicy, *,
-                    retry_on: Tuple[type, ...] = (TransientIPCError, OSError),
-                    seed: int = 0,
-                    on_retry: Optional[Callable[[int, BaseException], None]]
-                    = None) -> object:
-    """Run ``fn`` with bounded retry; re-raises after the last attempt.
-
-    ``on_retry(attempt_number, exc)`` fires before each sleep, which is how
-    the service counts retries into its robustness stats.
-    """
-    delays = policy.delays(seed)
-    for attempt in range(policy.attempts):
-        try:
-            return fn()
-        except retry_on as exc:
-            if attempt >= policy.attempts - 1:
-                raise
-            if on_retry is not None:
-                on_retry(attempt + 1, exc)
-            time.sleep(delays[attempt])
-    raise AssertionError("unreachable")  # pragma: no cover

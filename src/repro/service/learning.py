@@ -46,10 +46,6 @@ class LearnTicket:
         """Block until the group is evaluated; publications in request order."""
         return list(self._future.result(timeout=timeout))
 
-    def done(self) -> bool:
-        """Whether the evaluation has finished (successfully or not)."""
-        return self._future.done()
-
 
 class LearningCoordinator:
     """Evaluates learn requests on a pool of ``workers`` threads."""

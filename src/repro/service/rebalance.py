@@ -117,7 +117,6 @@ class FleetRebalancer:
             "router": service.router.kind,
             "router_salt": service.config.router_salt,
             "pins": dict(service.router.pins),
-            "worker_mode": service.config.worker_mode,
             "learning_mode": service.config.learning_mode,
             "points_submitted": service.points_submitted,
             "points_completed": service.points_completed,
@@ -264,7 +263,7 @@ class FleetRebalancer:
         for shard_id in retired:
             worker = service._workers[shard_id]
             worker.shutdown(timeout=timeout)
-            failure = getattr(worker, "failure", None)
+            failure = worker.failure
             if failure is not None:
                 service._record_shard_error(
                     shard_id, f"failed while retiring: "

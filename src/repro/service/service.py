@@ -23,7 +23,7 @@ failures into supervised restarts (checkpoint restore + journal replay,
 decision-identical on surviving traffic), ``deadline`` bounds how stale a
 point may get before it is shed or marked degraded, ``full_policy`` bounds
 producer waits on a full queue, and ``fault_plan`` injects deterministic
-crashes/stalls/IPC failures for testing all of the above.
+crashes, stalls and checkpoint-write failures for testing all of the above.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.detector import SPOT
 from ..core.exceptions import BackpressureTimeout, ConfigurationError
@@ -49,14 +49,8 @@ from .learning import LearningCoordinator
 from .ring import ROUTER_KINDS, make_router
 from .router import ShardRouter
 from .supervisor import ShardSupervisor
-from .worker import (
-    DEADLINE_POLICIES,
-    ProcessShardWorker,
-    ShardStats,
-    ShardWorker,
-)
+from .worker import DEADLINE_POLICIES, ShardStats, ShardWorker
 
-WORKER_MODES = ("thread", "process")
 LEARNING_MODES = ("sync", "async")
 
 #: Outcomes a ServiceResult can carry.
@@ -71,7 +65,6 @@ class ServiceConfig:
     max_batch: int = 512
     max_delay: float = 0.002
     max_pending: int = 8192
-    worker_mode: str = "thread"
     #: ``"static"`` routes with CRC-32 mod over a fixed pool (historical
     #: default); ``"ring"`` routes over a consistent-hash ring with virtual
     #: nodes, so the fleet can grow/shrink with minimal key movement (see
@@ -114,9 +107,7 @@ class ServiceConfig:
     #: production.
     fault_plan: Optional[FaultPlan] = None
     #: Span/event tracer (:class:`~repro.obs.trace.Tracer`); ``None`` keeps
-    #: the near-zero-cost :data:`~repro.obs.trace.NULL_TRACER`.  The tracer
-    #: lives in the parent process only — process shards trace the hand-off,
-    #: not the child-side scoring.
+    #: the near-zero-cost :data:`~repro.obs.trace.NULL_TRACER`.
     tracer: Optional[object] = None
     #: Decision provenance: enable evidence capture on every shard detector,
     #: so delivered results (and flight-ring records) carry the typed
@@ -137,10 +128,6 @@ class ServiceConfig:
         if self.n_shards < 1:
             raise ConfigurationError(
                 f"n_shards must be positive, got {self.n_shards}")
-        if self.worker_mode not in WORKER_MODES:
-            raise ConfigurationError(
-                f"worker_mode must be one of {WORKER_MODES}, "
-                f"got {self.worker_mode!r}")
         if self.learning_mode not in LEARNING_MODES:
             raise ConfigurationError(
                 f"learning_mode must be one of {LEARNING_MODES}, "
@@ -246,7 +233,7 @@ class DetectionService:
             else NULL_TRACER
         self._trace_on = bool(getattr(self._tracer, "enabled", False))
         self._batchers: List[MicroBatcher] = []
-        self._workers: List[Union[ShardWorker, ProcessShardWorker]] = []
+        self._workers: List[ShardWorker] = []
         self._stats = [ShardStats(shard_id=i, registry=self.metrics)
                        for i in range(self.config.n_shards)]
         self._results: List[ServiceResult] = []
@@ -385,35 +372,20 @@ class DetectionService:
                             put_timeout=self.config.put_timeout)
 
     def _build_worker(self, shard_id: int, detector: SPOT,
-                      batcher: MicroBatcher
-                      ) -> Union[ShardWorker, ProcessShardWorker]:
+                      batcher: MicroBatcher) -> ShardWorker:
         """Wire one worker (initial start and supervised replacement)."""
-        if self.config.worker_mode == "thread":
-            # The mode is a serving decision, not detector state: a fleet
-            # restored from an async checkpoint serves sync-ly (and vice
-            # versa) without any decision changing.
-            detector.set_deferred_learning(
-                self.config.learning_mode == "async")
-            return ShardWorker(shard_id, detector, batcher,
-                               self._on_results,
-                               learning=self._coordinator,
-                               faults=self._faults,
-                               deadline=self.config.deadline,
-                               deadline_policy=self.config.deadline_policy,
-                               quarantine_on_failure=not self.config.supervise,
-                               tracer=self._tracer,
-                               recorder=self._recorder)
-        return ProcessShardWorker(shard_id, detector, batcher,
-                                  self._on_results,
-                                  learning=self._coordinator,
-                                  fault_plan=self.config.fault_plan,
-                                  faults=self._faults,
-                                  deadline=self.config.deadline,
-                                  deadline_policy=self.config.deadline_policy,
-                                  quarantine_on_failure=not self.config.supervise,
-                                  on_ipc_retry=self._note_ipc_retry,
-                                  tracer=self._tracer,
-                                  recorder=self._recorder)
+        # The learning mode is a serving decision, not detector state: a
+        # fleet restored from an async checkpoint serves sync-ly (and vice
+        # versa) without any decision changing.
+        detector.set_deferred_learning(self.config.learning_mode == "async")
+        return ShardWorker(shard_id, detector, batcher, self._on_results,
+                           learning=self._coordinator,
+                           faults=self._faults,
+                           deadline=self.config.deadline,
+                           deadline_policy=self.config.deadline_policy,
+                           quarantine_on_failure=not self.config.supervise,
+                           tracer=self._tracer,
+                           recorder=self._recorder)
 
     def stop(self, timeout: Optional[float] = 60.0) -> None:
         """Drain every queue, stop every worker, surface any failure."""
@@ -429,7 +401,7 @@ class DetectionService:
         for shard_id, worker in enumerate(self._workers):
             # A failure in the shutdown path (e.g. resolving a final learn
             # publication) never went through on_results; surface it here.
-            failure = getattr(worker, "failure", None)
+            failure = worker.failure
             if failure is not None and not any(
                     error.startswith(f"shard {shard_id}:")
                     for error in self._errors):
@@ -671,14 +643,6 @@ class DetectionService:
             self._recorder.record_event("restart", shard=shard_id)
         worker.start()
 
-    def _note_ipc_retry(self, shard_id: int) -> None:
-        with self._lock:
-            self._stats[shard_id].ipc_retries.inc()
-        if self._trace_on:
-            self._tracer.event("ipc.retry", shard=shard_id,
-                               attempt=int(self._stats[shard_id]
-                                           .ipc_retries.value))
-
     def _raise_on_error(self) -> None:
         if self._errors:
             raise ConfigurationError(
@@ -724,11 +688,9 @@ class DetectionService:
         return list(self._stats)
 
     def shard_detectors(self) -> Tuple[SPOT, ...]:
-        """The per-shard detectors (thread mode; read-only diagnostics).
+        """The live per-shard detectors (read-only diagnostics).
 
-        Parity tests compare these against reference detectors; with
-        ``worker_mode="process"`` the live state lives in the children and
-        this returns the prototypes the service was built from.
+        Parity tests compare these against reference detectors.
         """
         return tuple(self._detectors)
 
@@ -793,8 +755,6 @@ class DetectionService:
                     self.metrics.total("service.degraded_points")),
                 "quarantined_points": int(
                     self.metrics.total("service.quarantined_points")),
-                "ipc_retries": int(
-                    self.metrics.total("service.ipc_retries")),
                 "checkpoint_write_failures":
                     int(self._ckpt_write_failures.value),
                 "faults_fired": (self._faults.stats()
@@ -802,7 +762,6 @@ class DetectionService:
             }
         return {
             "n_shards": self.config.n_shards,
-            "worker_mode": self.config.worker_mode,
             "points": total_points,
             "wall_seconds": round(wall, 4),
             "busy_seconds": round(busy, 4),
@@ -857,7 +816,6 @@ class DetectionService:
         config = self.config
         return {
             "n_shards": config.n_shards,
-            "worker_mode": config.worker_mode,
             "learning_mode": config.learning_mode,
             "supervise": config.supervise,
             "deadline": config.deadline,

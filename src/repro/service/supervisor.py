@@ -5,9 +5,9 @@ worker exception poisoned its shard until ``drain()``/``stop()`` surfaced
 the error.  The :class:`ShardSupervisor` upgrades a
 :class:`~repro.service.service.DetectionService` to *fail-recover*:
 
-1. **Detect** — every failed delivery (a thread worker exception, a dead
-   child process, a poison point) reaches the supervisor as a crash event
-   carrying the undelivered :class:`BatchItem`s.
+1. **Detect** — every failed delivery (a worker exception, an injected
+   crash, a poison point) reaches the supervisor as a crash event carrying
+   the undelivered :class:`BatchItem`s.
 2. **Retire** — the failed worker stops consuming; any batch it had already
    popped is handed back to the front of the queue, so the backlog keeps
    its stream order for the replacement.
@@ -222,19 +222,7 @@ class ShardSupervisor:
         # The failed worker retires: it stops consuming (requeueing any batch
         # it already popped) and leaves the backlog to its replacement.
         old_worker.retire()
-        if hasattr(old_worker, "join"):
-            old_worker.join(timeout=30.0)
-        if hasattr(old_worker, "drain_pending"):
-            # Process flavour: the feeder may have shipped one more batch
-            # after the collector gave up on the child — sweep those
-            # undelivered points into this recovery.  Per-shard traffic is
-            # seq-ordered, so merging by seq restores arrival order.
-            swept = old_worker.drain_pending()
-            if swept:
-                by_seq = {item.seq: item for item in failed_items}
-                by_seq.update((item.seq, item) for item in swept)
-                failed_items = sorted(by_seq.values(),
-                                      key=lambda item: item.seq)
+        old_worker.join(timeout=30.0)
         with self._state_lock:
             restarts = self._restarts.get(shard_id, 0)
             if restarts >= self.max_restarts_per_shard:

@@ -5,8 +5,8 @@ injecting worker crashes mid-stream, the *supervised* service recovers
 automatically, and the decisions (and final SSTs) of every non-shed point
 are identical to a fault-free run.  Around that sit the smaller contracts —
 bounded backpressure (timeout / shed put policies), deadline shedding and
-degradation, poison-point quarantine, IPC retry, checkpoint corruption
-fallback, and injected checkpoint-write failures.
+degradation, poison-point quarantine, checkpoint corruption fallback, and
+injected checkpoint-write failures.
 """
 
 import json
@@ -33,10 +33,7 @@ from repro.service import (
     FaultPlan,
     FleetRebalancer,
     MicroBatcher,
-    RetryPolicy,
     ServiceConfig,
-    TransientIPCError,
-    call_with_retry,
     make_router,
 )
 
@@ -95,11 +92,9 @@ def _assert_parity(chaos_service, baseline_service, n_points):
 class TestFaultPlan:
     def test_random_plan_is_deterministic_and_round_trips(self):
         plan = FaultPlan.random(seed=7, n_points=500, n_crashes=2,
-                                n_stalls=1, n_ipc_failures=1,
-                                n_checkpoint_failures=1)
+                                n_stalls=1, n_checkpoint_failures=1)
         again = FaultPlan.random(seed=7, n_points=500, n_crashes=2,
-                                 n_stalls=1, n_ipc_failures=1,
-                                 n_checkpoint_failures=1)
+                                 n_stalls=1, n_checkpoint_failures=1)
         assert plan == again
         assert plan == FaultPlan.from_dict(plan.to_dict())
         assert len(plan.crash_points) == 2
@@ -117,28 +112,6 @@ class TestFaultPlan:
         assert injector.checkpoint_should_fail()      # save 2 fails
         assert not injector.checkpoint_should_fail()
         assert injector.stats()["crashes_fired"] == 1
-
-    def test_retry_policy_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(attempts=4, base_delay=0.01, max_delay=0.02)
-        assert policy.delays(seed=3) == policy.delays(seed=3)
-        assert len(policy.delays()) == 3
-        assert all(0.0 <= d <= 0.02 for d in policy.delays(seed=1))
-
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise TransientIPCError("transient")
-            return "ok"
-
-        fast = RetryPolicy(attempts=4, base_delay=0.0, max_delay=0.0)
-        assert call_with_retry(flaky, fast) == "ok"
-        assert len(calls) == 3
-        with pytest.raises(TransientIPCError):
-            call_with_retry(lambda: (_ for _ in ()).throw(
-                TransientIPCError("always")), RetryPolicy(attempts=2,
-                                                          base_delay=0.0))
 
 
 # --------------------------------------------------------------------- #
@@ -233,19 +206,6 @@ class TestCrashRecovery:
         assert robustness["restarts"] >= 1
         assert robustness["recovery_ms"] > 0.0
         assert robustness["faults_fired"]["crashes_fired"] == 2
-
-    def test_process_mode_survives_a_hard_child_death(
-            self, prototype, tenant_workload, baseline):
-        plan = FaultPlan(crash_points=(200,), seed=3)
-        service = _serve(prototype, tenant_workload.detection,
-                         n_shards=2, max_batch=64, supervise=True,
-                         worker_mode="process", fault_plan=plan)
-        baseline_flags = {r.seq: r.is_outlier for r in baseline.results()}
-        results = service.results()
-        assert len(results) == len(tenant_workload.detection)
-        assert all(r.outcome == "ok" for r in results)
-        assert all(r.is_outlier == baseline_flags[r.seq] for r in results)
-        assert service.stats()["robustness"]["restarts"] == 1
 
     def test_async_learning_shard_recovers_in_flight_learning(
             self, tenant_workload):
@@ -353,12 +313,6 @@ class TestMigrationCrash:
         assert injector.stats()["migration_crashes_fired"] == 1
         with pytest.raises(ConfigurationError):
             FaultPlan(migration_crashes=(0,))
-
-    def test_plans_without_migration_faults_keep_their_stats_shape(self):
-        # The chaos bench artifact embeds the fired-faults dict; plans that
-        # never schedule a migration crash must not grow a new key.
-        injector = FaultInjector(FaultPlan(crash_points=(5,)))
-        assert "migration_crashes_fired" not in injector.stats()
 
 
 # --------------------------------------------------------------------- #
@@ -468,25 +422,6 @@ class TestDeadlines:
             ServiceConfig(deadline_policy="panic")
         with pytest.raises(ConfigurationError):
             ServiceConfig(full_policy="timeout")  # needs put_timeout
-
-
-# --------------------------------------------------------------------- #
-# IPC retry (process shards)
-# --------------------------------------------------------------------- #
-class TestIPCRetry:
-    def test_transient_inbox_failure_costs_a_retry_not_a_shard(
-            self, prototype, tenant_workload, baseline):
-        plan = FaultPlan(ipc_failures=(60, 240), seed=21)
-        service = _serve(prototype, tenant_workload.detection,
-                         n_shards=2, max_batch=64,
-                         worker_mode="process", fault_plan=plan)
-        baseline_flags = {r.seq: r.is_outlier for r in baseline.results()}
-        results = service.results()
-        assert len(results) == len(tenant_workload.detection)
-        assert all(r.is_outlier == baseline_flags[r.seq] for r in results)
-        robustness = service.stats()["robustness"]
-        assert robustness["ipc_retries"] >= 2
-        assert robustness["restarts"] == 0
 
 
 # --------------------------------------------------------------------- #

@@ -117,15 +117,6 @@ class TestRequestProtocol:
         rebuilt = request_from_dict(json.loads(json.dumps(request.to_dict())))
         assert rebuilt == request
 
-    def test_publication_round_trips_through_json(self):
-        publication = LearnPublication(
-            request_id="os_growth-3", kind="os_growth",
-            ranked=((Subspace((0, 1)), 0.25), (Subspace((2,)), 0.5)),
-            memory={"memo_entries": 3})
-        rebuilt = LearnPublication.from_dict(
-            json.loads(json.dumps(publication.to_dict())))
-        assert rebuilt == publication
-
     def test_unknown_kind_is_rejected(self):
         from repro.core.exceptions import SerializationError
 

@@ -33,14 +33,14 @@ from repro.service import (
 )
 
 STATS_KEYS = {
-    "n_shards", "worker_mode", "points", "wall_seconds", "busy_seconds",
+    "n_shards", "points", "wall_seconds", "busy_seconds",
     "aggregate_points_per_second", "mean_batch_size", "producer_blocks",
     "checkpoints_taken", "learning_mode", "learning", "robustness", "shards",
     "slo",
 }
 ROBUSTNESS_KEYS = {
     "supervised", "restarts", "recovery_ms", "shed_points",
-    "degraded_points", "quarantined_points", "ipc_retries",
+    "degraded_points", "quarantined_points",
     "checkpoint_write_failures", "faults_fired",
 }
 SHARD_ROW_KEYS = {
@@ -48,13 +48,12 @@ SHARD_ROW_KEYS = {
     "points_per_second", "latency_p50_ms", "latency_p95_ms",
     "latency_p99_ms", "path_p50_ms", "path_p95_ms", "path_p99_ms",
     "errors", "shed_points", "degraded_points", "quarantined_points",
-    "ipc_retries", "restarts", "recovery_ms",
+    "restarts", "recovery_ms",
 }
 
 #: Stats fields independent of timing and of how much was served in this
 #: process's lifetime — a restored service must agree on all of them.
-NON_TIMING_KEYS = ("n_shards", "worker_mode", "learning_mode",
-                   "checkpoints_taken")
+NON_TIMING_KEYS = ("n_shards", "learning_mode", "checkpoints_taken")
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +115,7 @@ class TestStatsSchema:
                           ("service.shed_points", "shed_points"),
                           ("service.degraded_points", "degraded_points"),
                           ("service.quarantined_points",
-                           "quarantined_points"),
-                          ("service.ipc_retries", "ipc_retries")):
+                           "quarantined_points")):
             assert _counter_total(snapshot, name) == robustness[key]
         assert snapshot["gauges"]["service.points_completed"] == \
             stats["points"]
@@ -200,8 +198,6 @@ class TestChaosTraceAndCounters:
             _counter_total(snapshot, "service.restarts") == 1
         assert robustness["shed_points"] == \
             _counter_total(snapshot, "service.shed_points")
-        assert robustness["ipc_retries"] == \
-            _counter_total(snapshot, "service.ipc_retries")
         assert robustness["quarantined_points"] == \
             _counter_total(snapshot, "service.quarantined_points")
         assert robustness["recovery_ms"] == pytest.approx(

@@ -1,17 +1,12 @@
-"""Tests for live fleet rebalancing and process-shard async learning.
+"""Tests for live fleet rebalancing.
 
-Two acceptance properties:
-
-* **Migration parity** — a service resharded mid-stream (split and merge,
-  live, under traffic) produces exactly the decisions and SSTs of a
-  single-threaded oracle that reenacts the same topology changes with
-  reference detectors: clone the donor at the boundary on a grow, drop the
-  retired detectors on a shrink, route every point with the same ring.
-  Zero drift means the drain/export/ship/restore machinery is lossless.
-* **Process-shard async parity** — ``learning_mode="async"`` with
-  ``worker_mode="process"`` (the request/publication protocol running over
-  the worker IPC queues) replays a workload decision- and SST-identically
-  to the synchronous baseline, at any learning worker count.
+The acceptance property is **migration parity**: a service resharded
+mid-stream (split and merge, live, under traffic) produces exactly the
+decisions and SSTs of a single-threaded oracle that reenacts the same
+topology changes with reference detectors: clone the donor at the boundary
+on a grow, drop the retired detectors on a shrink, route every point with
+the same ring.  Zero drift means the drain/export/ship/restore machinery is
+lossless.
 """
 
 import pytest
@@ -237,67 +232,3 @@ class TestTenantMigration:
         assert service.router.pins == {"keep": 0}
         service.stop()
 
-
-class TestProcessShardAsyncLearning:
-    """`learning_mode="async"` over the worker IPC queues."""
-
-    def _sync_baseline(self, prototype, points):
-        service = DetectionService.from_prototype(
-            prototype, ServiceConfig(n_shards=2, max_batch=64))
-        service.start()
-        service.submit_tagged(points)
-        service.drain()
-        service.stop()
-        return service
-
-    def _harvested_ssts(self, service):
-        """Final SSTs of a process fleet: export from the children while
-        they are alive, resolve any trailing learn request inline (its
-        apply point lies beyond the stream's end)."""
-        ssts = []
-        for worker in service._workers:
-            detector = SPOT.from_state(worker.export_state())
-            detector.set_deferred_learning(False)
-            if detector.pending_learn_requests:
-                detector.resolve_pending_learns()
-            ssts.append(detector.sst.to_dict())
-        return ssts
-
-    def test_async_process_shards_match_sync_at_any_worker_count(
-            self, prototype, tenant_workload):
-        points = tenant_workload.detection
-        sync = self._sync_baseline(prototype, points)
-        sync_flags, sync_ssts = _flags(sync), _ssts(sync)
-        assert any(d._os_growth.searches or d._self_evolution.rounds
-                   for d in sync.shard_detectors()), \
-            "the workload never exercised online learning"
-        for workers in (1, 3):
-            service = DetectionService.from_prototype(
-                prototype, ServiceConfig(n_shards=2, max_batch=64,
-                                         learning_mode="async",
-                                         worker_mode="process",
-                                         learning_workers=workers))
-            service.start()
-            service.submit_tagged(points)
-            service.drain()
-            ssts = self._harvested_ssts(service)
-            service.stop()
-            assert _flags(service) == sync_flags
-            assert ssts == sync_ssts
-
-    def test_async_process_stats_count_learning(
-            self, prototype, tenant_workload):
-        points = tenant_workload.detection[:300]
-        service = DetectionService.from_prototype(
-            prototype, ServiceConfig(n_shards=2, max_batch=64,
-                                     learning_mode="async",
-                                     worker_mode="process",
-                                     learning_workers=2))
-        service.start()
-        service.submit_tagged(points)
-        service.drain()
-        service.stop()
-        stats = service.stats()
-        assert stats["worker_mode"] == "process"
-        assert stats["learning_mode"] == "async"
-        assert stats["learning"]["requests"] > 0

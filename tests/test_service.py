@@ -208,16 +208,6 @@ class TestDetectionServiceParity:
         service_flags = [r.is_outlier for r in service.results()]
         assert service_flags == [r.is_outlier for r in reference]
 
-    def test_process_worker_mode_matches_thread_mode(
-            self, prototype, tenant_workload):
-        points = tenant_workload.detection[:200]
-        thread_service = _run_service(prototype, points,
-                                      n_shards=2, max_batch=64)
-        process_service = _run_service(prototype, points, n_shards=2,
-                                       max_batch=64, worker_mode="process")
-        assert [r.is_outlier for r in process_service.results()] == \
-            [r.is_outlier for r in thread_service.results()]
-
     def test_stats_report_throughput_and_latency_percentiles(
             self, prototype, tenant_workload):
         service = _run_service(prototype, tenant_workload.detection[:200],
@@ -393,7 +383,5 @@ class TestServiceValidation:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             ServiceConfig(n_shards=0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(worker_mode="fiber")
         with pytest.raises(ConfigurationError):
             ServiceConfig(checkpoint_every=10)  # no checkpoint_dir
