@@ -11,7 +11,7 @@ benefit would be coming from the subspace *count*, not from the learning.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .baselines import FullSpaceGridDetector, KNNWindowDetector, RandomSubspaceDetector
 from .core.config import SPOTConfig
@@ -831,7 +831,8 @@ def _serve_for_obs(args: argparse.Namespace, *, tracer=None,
     Progress goes to stderr so stdout stays a clean JSON stream when
     ``--out`` is not given.  ``config_kwargs`` adds verb-specific
     :class:`ServiceConfig` fields (evidence, flight recorder, SLOs...).
-    Returns the stopped service.
+    Returns the stopped service and the workload it served, whose
+    ``detection[seq]`` is the point submitted as ``seq``.
     """
     from .eval.experiments import t1_bench_config
     from .eval.workloads import multi_tenant_workload
@@ -858,11 +859,11 @@ def _serve_for_obs(args: argparse.Namespace, *, tracer=None,
     service.submit_tagged(workload.detection)
     service.drain()
     service.stop()
-    return service
+    return service, workload
 
 
 def _run_metrics(args: argparse.Namespace) -> int:
-    service = _serve_for_obs(args)
+    service, _ = _serve_for_obs(args)
     _emit_json(service.metrics_snapshot(), args.out)
     return 0
 
@@ -877,10 +878,8 @@ def _run_trace(args: argparse.Namespace) -> int:
         fault_plan = FaultPlan.random(seed=args.fault_seed,
                                       n_points=args.tenants * args.points,
                                       n_crashes=args.fault_crashes)
-    service = _serve_for_obs(args, tracer=tracer,
-                             supervise=fault_plan is not None,
-                             fault_plan=fault_plan)
-    del service
+    _serve_for_obs(args, tracer=tracer, supervise=fault_plan is not None,
+                   fault_plan=fault_plan)
     counts: Dict[str, int] = {}
     for span in tracer.spans():
         counts[span.name] = counts.get(span.name, 0) + 1
@@ -895,14 +894,14 @@ def _run_trace(args: argparse.Namespace) -> int:
 def _run_explain(args: argparse.Namespace) -> int:
     from .obs import explain_result, format_explanation
 
-    service = _serve_for_obs(args, config_kwargs={"evidence": True})
+    service, workload = _serve_for_obs(args, config_kwargs={"evidence": True})
     scored = [r for r in service.results() if r.result is not None]
     if args.seq is not None:
         matches = [r for r in scored if r.seq == args.seq]
         if not matches:
             raise ConfigurationError(
                 f"no scored point with seq {args.seq} "
-                f"(served seqs 0..{len(service.results()) - 1}; shed or "
+                f"(served seqs 0..{service.points_completed - 1}; shed or "
                 f"quarantined points carry no decision)")
         target = matches[0]
     else:
@@ -913,6 +912,8 @@ def _run_explain(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         target = flagged[0] if flagged else scored[0]
     payload = explain_result(target.result)
+    # The service keeps no unflagged point; the served workload has them all.
+    payload["point"] = list(workload.detection[target.seq].values)
     payload["seq"] = target.seq
     payload["stream"] = target.stream_id
     payload["shard"] = target.shard
@@ -922,7 +923,7 @@ def _run_explain(args: argparse.Namespace) -> int:
 
 
 def _run_flight(args: argparse.Namespace) -> int:
-    service = _serve_for_obs(args, config_kwargs={
+    service, _ = _serve_for_obs(args, config_kwargs={
         "evidence": True,
         "flight_recorder": True,
         "flight_capacity": args.capacity,
@@ -968,15 +969,15 @@ def _run_diag(args: argparse.Namespace) -> int:
         fault_plan = FaultPlan.random(seed=args.fault_seed,
                                       n_points=args.tenants * args.points,
                                       n_crashes=args.fault_crashes)
-    service = _serve_for_obs(args, tracer=tracer,
-                             supervise=fault_plan is not None,
-                             fault_plan=fault_plan,
-                             config_kwargs={
-                                 "evidence": True,
-                                 "flight_recorder": True,
-                                 "flight_capacity": args.capacity,
-                                 "diag_dir": args.diag_dir,
-                             })
+    service, _ = _serve_for_obs(args, tracer=tracer,
+                                supervise=fault_plan is not None,
+                                fault_plan=fault_plan,
+                                config_kwargs={
+                                    "evidence": True,
+                                    "flight_recorder": True,
+                                    "flight_capacity": args.capacity,
+                                    "diag_dir": args.diag_dir,
+                                })
     payload = validate_diag_payload(service.diagnose())
     if service.last_diagnostics is not None:
         print("Crash-time diagnostics bundle captured by the supervisor "
@@ -999,7 +1000,7 @@ def _run_slo(args: argparse.Namespace) -> int:
     if args.deadline_ms:
         config_kwargs["deadline"] = args.deadline_ms / 1e3
         config_kwargs["deadline_policy"] = "shed"
-    service = _serve_for_obs(args, config_kwargs=config_kwargs)
+    service, _ = _serve_for_obs(args, config_kwargs=config_kwargs)
     report = service.slo_report()
     rows = []
     for stream_id, tenant in sorted(report["tenants"].items()):

@@ -8,7 +8,7 @@ with the library; every benchmark overrides what it sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Dict, Optional
 
 from .exceptions import ConfigurationError

@@ -10,7 +10,7 @@ harness) can rank points by outlier strength instead of only thresholding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .cell_summary import ProjectedCellSummary
 from .subspace import Subspace
@@ -87,7 +87,10 @@ class DetectionResult:
         Zero-based position of the point in the processed stream.
     point:
         The point itself (kept so downstream consumers such as the online OS
-        growth can re-analyse detected outliers).
+        growth can re-analyse detected outliers).  ``None`` on an unflagged
+        result that a detection service rebuilt from its result log: the
+        service keeps no unflagged point, and the caller looks it up by the
+        seq that ``submit`` returned.
     is_outlier:
         ``True`` when at least one SST subspace flagged the point.
     outlying_subspaces:
@@ -103,7 +106,7 @@ class DetectionResult:
     """
 
     index: int
-    point: Tuple[float, ...]
+    point: Optional[Tuple[float, ...]]
     is_outlier: bool
     outlying_subspaces: Tuple[Subspace, ...]
     evidence: Tuple[SubspaceEvidence, ...] = ()

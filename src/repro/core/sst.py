@@ -20,8 +20,8 @@ detector's hot loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exceptions import ConfigurationError, SubspaceError
 from .subspace import Subspace, enumerate_subspaces

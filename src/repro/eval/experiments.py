@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +39,6 @@ from ..moga import MOGAEngine, make_sparsity_objectives
 from ..streams import GaussianStreamGenerator, values_of
 from .runner import compare_detectors, evaluate_detector, evaluate_over_segments
 from .workloads import (
-    Workload,
     drift_workload,
     kddcup_workload,
     multi_tenant_workload,

@@ -16,7 +16,7 @@ one declaration, and the CLI / tests / README table derive from it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping
 
 from ..core.exceptions import ConfigurationError
 from .experiments import (

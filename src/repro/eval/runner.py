@@ -10,8 +10,8 @@ EXPERIMENTS.md generator call.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.detector import SPOT
 from ..core.exceptions import ConfigurationError

@@ -9,12 +9,12 @@ MaxDimension...) can be tabulated.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..core.config import SPOTConfig
 from ..core.detector import SPOT
 from ..core.exceptions import ConfigurationError
-from .runner import DetectorEvaluation, evaluate_detector
+from .runner import evaluate_detector
 from .workloads import Workload
 
 Row = Dict[str, object]

@@ -8,8 +8,8 @@ referenced by the experiment index in DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError
 from ..core.subspace import Subspace

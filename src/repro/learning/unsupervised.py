@@ -17,7 +17,7 @@ by the self-evolution machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..clustering import compute_outlying_degrees
 from ..core.config import SPOTConfig

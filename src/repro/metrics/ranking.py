@@ -10,7 +10,7 @@ ground-truth subspaces the workloads planted outliers in.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence
 
 from ..core.exceptions import ConfigurationError
 from ..core.subspace import Subspace

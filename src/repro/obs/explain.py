@@ -81,11 +81,15 @@ def decision_from_dict(payload: Dict[str, object]) -> DecisionEvidence:
 
 
 def explain_result(result: DetectionResult) -> Dict[str, object]:
-    """One scored point as a self-contained explanation payload."""
+    """One scored point as a self-contained explanation payload.
+
+    ``"point"`` is ``None`` for a result that carries no point (an unflagged
+    result rebuilt from a service's result log).
+    """
     record: Dict[str, object] = {
         "schema": EXPLAIN_SCHEMA,
         "index": result.index,
-        "point": list(result.point),
+        "point": None if result.point is None else list(result.point),
         "is_outlier": result.is_outlier,
         "score": result.score,
         "outlying_subspaces": [list(s.dimensions)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..core.exceptions import ConfigurationError
 

@@ -2,8 +2,8 @@
 
 Fault tolerance is only trustworthy if its failure paths run on every CI
 pass, which means crashes have to be *scheduled*, not hoped for.  A
-:class:`FaultPlan` is a seeded, serialisable description of exactly which
-faults fire and where:
+:class:`FaultPlan` is a seeded description of exactly which faults fire
+and where:
 
 * **worker crash at point k** — the worker owning global sequence ``k``
   commits a prefix of the batch containing ``k`` to its detector and then
@@ -111,32 +111,6 @@ class FaultPlan:
         checkpoints = tuple(range(1, n_checkpoint_failures + 1))
         return cls(crash_points=crashes, stall_points=stalls,
                    checkpoint_failures=checkpoints, seed=seed)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data (JSON-ready) form."""
-        return {
-            "crash_points": list(self.crash_points),
-            "stall_points": [[seq, seconds]
-                             for seq, seconds in self.stall_points],
-            "checkpoint_failures": list(self.checkpoint_failures),
-            "migration_crashes": list(self.migration_crashes),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            crash_points=tuple(int(s) for s in payload.get("crash_points", ())),
-            stall_points=tuple(
-                (int(seq), float(seconds))
-                for seq, seconds in payload.get("stall_points", ())),
-            checkpoint_failures=tuple(
-                int(i) for i in payload.get("checkpoint_failures", ())),
-            migration_crashes=tuple(
-                int(i) for i in payload.get("migration_crashes", ())),
-            seed=int(payload.get("seed", 0)),
-        )
 
 
 class FaultInjector:

@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.detector import SPOT
 from ..core.exceptions import BackpressureTimeout, ConfigurationError
-from ..core.results import DetectionResult
+from ..core.results import DecisionEvidence, DetectionResult
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import NULL_RECORDER, FlightRecorder, build_diag_payload
 from ..obs.slo import SLOObjectives, SLOTracker
@@ -47,7 +50,6 @@ from .checkpoint import CheckpointManager
 from .faults import FaultInjector, FaultPlan, InjectedFault
 from .learning import LearningCoordinator
 from .ring import ROUTER_KINDS, make_router
-from .router import ShardRouter
 from .supervisor import ShardSupervisor
 from .worker import DEADLINE_POLICIES, ShardStats, ShardWorker
 
@@ -55,6 +57,10 @@ LEARNING_MODES = ("sync", "async")
 
 #: Outcomes a ServiceResult can carry.
 RESULT_OUTCOMES = ("ok", "degraded", "shed", "quarantined")
+_OK, _DEGRADED, _SHED, _QUARANTINED = range(len(RESULT_OUTCOMES))
+
+#: Largest fleet: the result log stores shard ids as int16.
+MAX_SHARDS = 2 ** 15 - 1
 
 
 @dataclass(frozen=True)
@@ -125,9 +131,9 @@ class ServiceConfig:
     slo: Optional[SLOObjectives] = None
 
     def __post_init__(self) -> None:
-        if self.n_shards < 1:
+        if not 1 <= self.n_shards <= MAX_SHARDS:
             raise ConfigurationError(
-                f"n_shards must be positive, got {self.n_shards}")
+                f"n_shards must be in 1..{MAX_SHARDS}, got {self.n_shards}")
         if self.learning_mode not in LEARNING_MODES:
             raise ConfigurationError(
                 f"learning_mode must be one of {LEARNING_MODES}, "
@@ -178,6 +184,12 @@ class ServiceResult:
     ``"shed"`` for one dropped past its deadline or at a full queue
     (``result`` is ``None``), and ``"quarantined"`` for a poison point the
     supervisor refused to keep retrying (``result`` is ``None``).
+
+    The service does not keep these objects: :meth:`DetectionService.results`
+    builds them from its :class:`ResultLog` on each call.  A flagged
+    ``result`` is the detector's own object, point included; an unflagged
+    one is rebuilt with ``point=None``, since the caller holds that point
+    under the ``seq`` that :meth:`DetectionService.submit` returned.
     """
 
     seq: int
@@ -196,6 +208,114 @@ class ServiceResult:
     def scored(self) -> bool:
         """Whether the point was actually scored by a detector."""
         return self.result is not None
+
+
+class ResultLog:
+    """Every delivered point of a service, kept as typed columns.
+
+    One row per delivered point costs 47 bytes: seq, shard, stream code,
+    outcome code (an index into :data:`RESULT_OUTCOMES`), latency, detector
+    index, score and SST version.  Both engines attach outlying subspaces,
+    evidence and decision subspaces to flagged results only, so an unflagged
+    result is fully determined by its index, its score and its SST version
+    (-1 when it carries no decision evidence); flagged results are kept
+    whole, keyed by seq.  Unscored rows (shed, quarantined) store index -1.
+
+    Not thread-safe: the service appends and copies under its lock and
+    builds results from a private :meth:`copy` outside it.
+    """
+
+    def __init__(self) -> None:
+        self._seq = array("q")
+        self._shard = array("h")
+        self._stream = array("i")
+        self._outcome = array("b")
+        self._latency = array("d")
+        self._index = array("q")
+        self._score = array("d")
+        self._sst_version = array("q")
+        #: Stream id -> stream code, in first-delivery order, so the keys
+        #: listed in order are the name table.
+        self._codes: Dict[str, int] = {}
+        self._flagged: Dict[int, DetectionResult] = {}
+
+    def append(self, shard_id: int, items: Sequence[BatchItem],
+               latencies: Sequence[float], outcomes: Sequence[int],
+               results: Optional[Sequence[DetectionResult]] = None) -> None:
+        """Add one delivered batch; ``results`` is ``None`` when unscored."""
+        n = len(items)
+        codes = self._codes
+        self._seq.extend([item.seq for item in items])
+        self._shard.extend(array("h", [shard_id]) * n)
+        self._stream.extend([codes.setdefault(item.stream_id, len(codes))
+                             for item in items])
+        self._outcome.extend(outcomes)
+        self._latency.extend(latencies)
+        if results is None:
+            self._index.extend(array("q", [-1]) * n)
+            self._score.extend(array("d", [0.0]) * n)
+            self._sst_version.extend(array("q", [-1]) * n)
+            return
+        self._index.extend([r.index for r in results])
+        self._score.extend([r.score for r in results])
+        self._sst_version.extend([-1 if r.decision is None
+                                  else r.decision.sst_version
+                                  for r in results])
+        self._flagged.update({item.seq: r for item, r in zip(items, results)
+                              if r.is_outlier})
+
+    def _columns(self) -> Tuple[array, ...]:
+        return (self._seq, self._shard, self._stream, self._outcome,
+                self._latency, self._index, self._score, self._sst_version)
+
+    def copy(self) -> "ResultLog":
+        """An independent copy (one buffer copy per column)."""
+        other = ResultLog()
+        for mine, theirs in zip(self._columns(), other._columns()):
+            theirs.extend(mine)
+        other._codes = dict(self._codes)
+        other._flagged = dict(self._flagged)
+        return other
+
+    def build(self, stream_id: Optional[str] = None) -> List[ServiceResult]:
+        """The logged points as :class:`ServiceResult`, in seq order.
+
+        With ``stream_id``, only that stream's points are built.
+        """
+        seqs = _view(self._seq)
+        if stream_id is None:
+            rows = np.argsort(seqs, kind="stable")
+        else:
+            code = self._codes.get(stream_id)
+            if code is None:
+                return []
+            rows = np.flatnonzero(_view(self._stream) == code)
+            rows = rows[np.argsort(seqs[rows], kind="stable")]
+        columns = [_view(column)[rows].tolist() for column in self._columns()]
+        names = list(self._codes)
+        built = []
+        for (seq, shard, stream, outcome, latency, index, score,
+             version) in zip(*columns):
+            if outcome in (_SHED, _QUARANTINED):
+                result = None
+            else:
+                result = self._flagged.get(seq)
+                if result is None:
+                    result = DetectionResult(
+                        index=index, point=None, is_outlier=False,
+                        outlying_subspaces=(), score=score,
+                        decision=(None if version < 0 else
+                                  DecisionEvidence(sst_version=version)))
+            built.append(ServiceResult(
+                seq=seq, stream_id=names[stream], shard=shard,
+                result=result, latency_seconds=latency,
+                outcome=RESULT_OUTCOMES[outcome]))
+        return built
+
+
+def _view(column: array) -> np.ndarray:
+    """A column's buffer as a NumPy array of the same type (no copy)."""
+    return np.frombuffer(column, dtype=column.typecode)
 
 
 class DetectionService:
@@ -236,7 +356,7 @@ class DetectionService:
         self._workers: List[ShardWorker] = []
         self._stats = [ShardStats(shard_id=i, registry=self.metrics)
                        for i in range(self.config.n_shards)]
-        self._results: List[ServiceResult] = []
+        self._log = ResultLog()
         #: Routing gate: ``submit()`` holds it across route → seq → enqueue,
         #: and the rebalancer holds it exclusively while it swaps the router
         #: and the shard registries.  Separate from ``_lock`` so result
@@ -526,13 +646,11 @@ class DetectionService:
             stats = self._stats[shard_id]
             if shed:
                 stats.shed_points.inc(len(items))
-                for item in items:
-                    self._results.append(ServiceResult(
-                        seq=item.seq, stream_id=item.stream_id,
-                        shard=shard_id, result=None,
-                        latency_seconds=now - item.enqueued_at,
-                        outcome="shed"))
-                    if self._slo is not None:
+                self._log.append(shard_id, items,
+                                 [now - item.enqueued_at for item in items],
+                                 [_SHED] * len(items))
+                if self._slo is not None:
+                    for item in items:
                         self._slo.observe_shed(item.stream_id)
                 if self._trace_on:
                     self._tracer.event("shard.shed", shard=shard_id,
@@ -552,34 +670,34 @@ class DetectionService:
                 stats.batches.inc()
                 stats.busy_seconds.inc(busy_seconds)
                 stats.points.inc(len(items))
-                degraded = 0
-                for item, result in zip(items, results):
-                    latency = now - item.enqueued_at
+                latencies = [now - item.enqueued_at for item in items]
+                if degrade:
+                    deadline = self.config.deadline
+                    outcomes = [_DEGRADED if latency > deadline else _OK
+                                for latency in latencies]
+                else:
+                    outcomes = [_OK] * len(items)
+                self._log.append(shard_id, items, latencies, outcomes,
+                                 results)
+                for latency in latencies:
                     stats.latency.record(latency)
                     # Every point of the call shares its detection-path cost:
                     # a point waits for its batch-mates (and, in sync
                     # learning mode, for any inline MOGA searches the call
                     # ran) before its result exists.
                     stats.path_latency.record(busy_seconds)
-                    outcome = "ok"
-                    if degrade and latency > self.config.deadline:
-                        outcome = "degraded"
-                        degraded += 1
-                    self._results.append(ServiceResult(
-                        seq=item.seq,
-                        stream_id=item.stream_id,
-                        shard=shard_id,
-                        result=result,
-                        latency_seconds=latency,
-                        outcome=outcome,
-                    ))
-                    if self._record_on:
+                if self._record_on:
+                    for item, result, outcome in zip(items, results,
+                                                     outcomes):
                         self._recorder.record_decision(
-                            shard_id, item.seq, item.stream_id, outcome,
-                            result)
-                    if self._slo is not None:
+                            shard_id, item.seq, item.stream_id,
+                            RESULT_OUTCOMES[outcome], result)
+                if self._slo is not None:
+                    for item, latency, outcome in zip(items, latencies,
+                                                      outcomes):
                         self._slo.observe_delivery(item.stream_id, latency,
-                                                   outcome)
+                                                   RESULT_OUTCOMES[outcome])
+                degraded = outcomes.count(_DEGRADED)
                 if degraded:
                     stats.degraded_points.inc(degraded)
                     if self._record_on:
@@ -613,12 +731,11 @@ class DetectionService:
         with self._all_done:
             stats = self._stats[shard_id]
             stats.quarantined_points.inc(len(items))
-            for item in items:
-                self._results.append(ServiceResult(
-                    seq=item.seq, stream_id=item.stream_id, shard=shard_id,
-                    result=None, latency_seconds=now - item.enqueued_at,
-                    outcome="quarantined"))
-                if self._slo is not None:
+            self._log.append(shard_id, items,
+                             [now - item.enqueued_at for item in items],
+                             [_QUARANTINED] * len(items))
+            if self._slo is not None:
+                for item in items:
                     self._slo.observe_quarantined(item.stream_id)
             self._completed += len(items)
             if self._completed >= self._submitted or self._errors:
@@ -652,14 +769,20 @@ class DetectionService:
         """Every completed point so far, in global submission order.
 
         Includes shed and quarantined points (``result is None``); filter
-        on :attr:`ServiceResult.scored` for detector decisions only.
+        on :attr:`ServiceResult.scored` for detector decisions only.  The
+        results are built from the result log on each call, outside the
+        service lock; unflagged ones carry ``point=None`` (see
+        :class:`ServiceResult`).
         """
         with self._lock:
-            return sorted(self._results, key=lambda r: r.seq)
+            log = self._log.copy()
+        return log.build()
 
     def results_for(self, stream_id: str) -> List[ServiceResult]:
         """The processed points of one stream, in that stream's order."""
-        return [r for r in self.results() if r.stream_id == stream_id]
+        with self._lock:
+            log = self._log.copy()
+        return log.build(stream_id)
 
     @property
     def points_submitted(self) -> int:

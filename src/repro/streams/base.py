@@ -10,7 +10,7 @@ without any external dataset.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import StreamExhaustedError

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, Iterator, List, Optional, Sequence
+from typing import Deque, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 

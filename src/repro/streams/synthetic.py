@@ -13,7 +13,7 @@ cluster-like, so the point does not stand out in the full space).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError

@@ -96,7 +96,7 @@ class MultiplexedStream(DataStream):
     """
 
     def __init__(self,
-                 streams: "Mapping[str, DataStream] | Sequence[Tuple[str, DataStream]]",
+                 streams: Mapping[str, DataStream] | Sequence[Tuple[str, DataStream]],
                  *, seed: int = 0, mode: str = "shuffled") -> None:
         items = list(streams.items()) if isinstance(streams, Mapping) \
             else list(streams)

@@ -90,13 +90,12 @@ def _assert_parity(chaos_service, baseline_service, n_points):
 # The fault plan itself
 # --------------------------------------------------------------------- #
 class TestFaultPlan:
-    def test_random_plan_is_deterministic_and_round_trips(self):
+    def test_random_plan_is_deterministic(self):
         plan = FaultPlan.random(seed=7, n_points=500, n_crashes=2,
                                 n_stalls=1, n_checkpoint_failures=1)
         again = FaultPlan.random(seed=7, n_points=500, n_crashes=2,
                                  n_stalls=1, n_checkpoint_failures=1)
         assert plan == again
-        assert plan == FaultPlan.from_dict(plan.to_dict())
         assert len(plan.crash_points) == 2
         assert all(0 < seq < 499 for seq in plan.crash_points)
 
@@ -302,9 +301,8 @@ class TestMigrationCrash:
         assert faults_fired["migration_crashes_fired"] == 1
         assert [r.committed for r in rebalancer.history] == [False, True]
 
-    def test_migration_crash_plan_round_trips_and_fires_once(self):
+    def test_migration_crash_plan_fires_once(self):
         plan = FaultPlan(migration_crashes=(2,))
-        assert plan == FaultPlan.from_dict(plan.to_dict())
         assert not plan.empty
         injector = FaultInjector(plan)
         assert not injector.migration_should_crash()  # attempt 1 passes

@@ -10,6 +10,7 @@ layer:
   identical to a service that was never interrupted.
 """
 
+import gc
 import threading
 import time
 
@@ -17,8 +18,10 @@ import pytest
 
 from repro import SPOT
 from repro.core.exceptions import ConfigurationError, SerializationError
+from repro.core.results import DetectionResult
 from repro.eval.experiments import t1_bench_config
 from repro.eval.workloads import multi_tenant_workload
+from repro.obs import explain_result
 from repro.persist import clone_detector
 from repro.service import (
     BatchItem,
@@ -26,8 +29,10 @@ from repro.service import (
     DetectionService,
     MicroBatcher,
     ServiceConfig,
+    ServiceResult,
     ShardRouter,
 )
+from repro.service.service import MAX_SHARDS
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +198,8 @@ class TestDetectionServiceParity:
         service = _run_service(prototype, tenant_workload.detection,
                                n_shards=2, max_batch=64)
         for tenant in tenant_workload.tenants:
-            delivered = [r.result.point for r
+            # The service keeps no unflagged point: look each up by seq.
+            delivered = [tenant_workload.detection[r.seq].values for r
                          in service.results_for(tenant)]
             submitted = [p.values for p
                          in tenant_workload.detection_for(tenant)]
@@ -362,6 +368,80 @@ class TestServiceFailureHandling:
         assert stats["shards"][0]["errors"] >= 1
         with pytest.raises(ConfigurationError):
             service.stop()
+
+
+def _live(kind):
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, kind))
+
+
+class TestResultLog:
+    # The serving tests route with the ring: the static router puts all four
+    # tenants on one of two shards.
+    def test_service_keeps_no_result_object_per_point(
+            self, prototype, tenant_workload):
+        points = list(tenant_workload.detection) * 2
+        assert len(points) == 2000
+        gc.collect()
+        before = {kind: _live(kind)
+                  for kind in (ServiceResult, DetectionResult)}
+        service = DetectionService.from_prototype(
+            prototype, ServiceConfig(n_shards=2, max_batch=64,
+                                     router="ring")).start()
+        service.submit_tagged(points)
+        service.drain()
+        gc.collect()
+        live = {kind: _live(kind) - before[kind]
+                for kind in (ServiceResult, DetectionResult)}
+        flagged = sum(r.is_outlier for r in service.results())
+        service.stop()
+        assert live[ServiceResult] == 0
+        assert live[DetectionResult] <= flagged + 2
+
+    @pytest.mark.parametrize("evidence", [False, True])
+    def test_results_equal_a_per_shard_replay(self, prototype,
+                                              tenant_workload, evidence):
+        points = tenant_workload.detection[:500]
+        # One point per call on both sides: the fast store's scores depend
+        # on the chunking in the last bits, and the comparison is bit-exact.
+        service = _run_service(prototype, points, n_shards=2, max_batch=1,
+                               router="ring", evidence=evidence)
+        results = service.results()
+        assert [r.seq for r in results] == list(range(len(points)))
+
+        replay = {}
+        for shard in range(2):
+            detector = clone_detector(prototype)
+            detector.set_evidence_enabled(evidence)
+            for seq, point in enumerate(points):
+                if service.router.shard_of(point.stream_id) == shard:
+                    [result] = detector.process_batch([point.values])
+                    replay[seq] = (shard, result)
+        assert {shard for shard, _ in replay.values()} == {0, 1}
+        for served in results:
+            shard, expected = replay[served.seq]
+            got = served.result
+            assert served.stream_id == points[served.seq].stream_id
+            assert (served.shard, served.outcome) == (shard, "ok")
+            assert (got.index, got.is_outlier) == \
+                (expected.index, expected.is_outlier)
+            assert got.score.hex() == expected.score.hex()
+            assert got.outlying_subspaces == expected.outlying_subspaces
+            assert got.decision == expected.decision
+            # Flagged results stay whole; the log drops unflagged points.
+            assert got.point == (expected.point if expected.is_outlier
+                                 else None)
+        assert any(r.is_outlier for r in results)
+        unflagged = next(r.result for r in results if not r.is_outlier)
+        assert explain_result(unflagged)["point"] is None
+
+        for tenant in tenant_workload.tenants:
+            assert service.results_for(tenant) == \
+                [r for r in results if r.stream_id == tenant]
+        assert service.results_for("no-such-stream") == []
+
+    def test_fleet_size_is_bounded_by_the_shard_column(self):
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(n_shards=MAX_SHARDS + 1)
 
 
 class TestServiceValidation:
