@@ -24,7 +24,7 @@ class Chromosome:
     def __init__(self, genes: Sequence[bool]) -> None:
         if not genes:
             raise ConfigurationError("a chromosome needs at least one gene")
-        self.genes: Tuple[bool, ...] = tuple(bool(g) for g in genes)
+        self.genes: Tuple[bool, ...] = tuple(map(bool, genes))
 
     # ------------------------------------------------------------------ #
     @property

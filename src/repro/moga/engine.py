@@ -110,6 +110,7 @@ class MOGAEngine:
         self._max_dimension = min(max_dimension, objectives.phi)
         self._rng = random.Random(seed)
         self._seed_subspaces = list(seeds) if seeds else []
+        self._decoded: Dict[Tuple[bool, ...], Subspace] = {}
 
     # ------------------------------------------------------------------ #
     def _initial_population(self) -> List[Chromosome]:
@@ -126,16 +127,16 @@ class MOGAEngine:
 
     def _evaluate(self, population: Sequence[Chromosome]
                   ) -> List[Tuple[float, ...]]:
-        subspaces = [ch.to_subspace() for ch in population]
-        # Whole-generation evaluation: objectives exposing
-        # evaluate_population (both bundled implementations do) score every
-        # uncached subspace of the generation in fused array passes; plain
-        # objective objects fall back to the per-subspace loop.
-        evaluate_population = getattr(self._objectives,
-                                      "evaluate_population", None)
-        if evaluate_population is not None:
-            return list(evaluate_population(subspaces))
-        return [self._objectives.evaluate(subspace) for subspace in subspaces]
+        # A gene string is decoded once per run: survivors and repeated
+        # offspring come back every generation.
+        decoded = self._decoded
+        subspaces: List[Subspace] = []
+        for chromosome in population:
+            subspace = decoded.get(chromosome.genes)
+            if subspace is None:
+                subspace = decoded[chromosome.genes] = chromosome.to_subspace()
+            subspaces.append(subspace)
+        return self._objectives.evaluate_population(subspaces)
 
     def _breed(self, population: Sequence[Chromosome],
                ranks: Sequence[Tuple[int, float]]) -> List[Chromosome]:
@@ -182,7 +183,7 @@ class MOGAEngine:
         ranks = crowded_comparison_rank(final_objectives)
         order = sorted(range(len(population)), key=lambda i: ranks[i])
         front = tuple(
-            (population[i].to_subspace(), final_objectives[i])
+            (self._decoded[population[i].genes], final_objectives[i])
             for i in order
             if ranks[i][0] == 0
         )

@@ -2,62 +2,92 @@
 
 The multi-objective GA in SPOT needs a way to rank a population against
 several sparsity objectives at once.  This module implements the two ranking
-primitives of Deb et al.'s NSGA-II, which the engine combines with the
+primitives of Deb et al.'s NSGA-II ("A fast and elitist multiobjective genetic
+algorithm: NSGA-II", IEEE TEC 6(2), 2002), which the engine combines with the
 operators from :mod:`repro.moga.operators`:
 
 * :func:`fast_non_dominated_sort` partitions a population into Pareto fronts;
 * :func:`crowding_distance` spreads selection pressure along each front so the
   search keeps a diverse set of trade-offs between density, deviation and
   subspace dimension.
+
+Dominance is computed in one array pass: one ``>`` and one ``<`` comparison
+per objective column build the population's ``(N, N)`` "worse somewhere" and
+"better somewhere" matrices, and ``i`` dominates ``j`` when it is better
+somewhere and worse nowhere.  That is the test
+:func:`~repro.moga.objectives.dominates` runs on one pair, so a NaN component
+compares as equal exactly as it does there.  Fronts are then peeled from the
+domination counts in Python, which keeps their member order (and with it
+every crowding tie-break) that of the textbook pairwise loop.  That loop
+lives on as the oracle in ``tests/test_moga_nsga2.py``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from ..core.exceptions import ConfigurationError
-from .objectives import dominates
 
 ObjectiveVector = Tuple[float, ...]
+
+
+def _iter_fronts(objectives: Sequence[ObjectiveVector]) -> Iterator[List[int]]:
+    """Yield the Pareto fronts of ``objectives``, best first, lazily."""
+    n = len(objectives)
+    if n == 0:
+        return
+    try:
+        values = np.asarray(objectives, dtype=np.float64)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"objective vectors differ in length: {exc}") from exc
+    if values.ndim != 2:
+        raise ConfigurationError(
+            f"objective vectors must form an (N, M) array, got shape "
+            f"{values.shape}")
+    worse = np.zeros((n, n), dtype=bool)
+    better = np.zeros((n, n), dtype=bool)
+    for column in values.T:
+        worse |= column[:, None] > column[None, :]
+        better |= column[:, None] < column[None, :]
+    dominance = better & ~worse  # [i, j]: individual i dominates j
+
+    # np.nonzero walks row-major, so each individual's dominated set comes
+    # out ascending -- the order the pairwise loop appends it in.
+    rows, cols = np.nonzero(dominance)
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    dominated = cols.tolist()
+    counts = dominance.sum(0).tolist()
+
+    front = [i for i in range(n) if counts[i] == 0]
+    while front:
+        yield front
+        next_front: List[int] = []
+        for i in front:
+            for j in dominated[bounds[i]:bounds[i + 1]]:
+                counts[j] -= 1
+                if counts[j] == 0:
+                    next_front.append(j)
+        front = next_front
 
 
 def fast_non_dominated_sort(objectives: Sequence[ObjectiveVector]) -> List[List[int]]:
     """Partition indices 0..n-1 into Pareto fronts (best front first).
 
     Returns a list of fronts, each a list of indices into ``objectives``.
-    Every index appears in exactly one front.
+    Every index appears in exactly one front.  Member order is part of the
+    contract, because crowding tie-breaks depend on it: front 0 lists its
+    members in ascending index order, and each later front in the order its
+    members are released while peeling the front before it (members of that
+    front in their order, each one's dominated individuals ascending).
+
+    Raises :class:`ConfigurationError` when the objective vectors differ in
+    length.
     """
-    n = len(objectives)
-    if n == 0:
-        return []
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: List[List[int]] = [[]]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(objectives[i], objectives[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(objectives[j], objectives[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    next_front.append(j)
-        current += 1
-        fronts.append(next_front)
-    fronts.pop()  # the loop always appends one trailing empty front
-    return fronts
+    return list(_iter_fronts(objectives))
 
 
 def crowding_distance(objectives: Sequence[ObjectiveVector],
@@ -121,7 +151,7 @@ def select_survivors(objectives: Sequence[ObjectiveVector],
     if capacity < 0:
         raise ConfigurationError("capacity must be non-negative")
     survivors: List[int] = []
-    for front in fast_non_dominated_sort(objectives):
+    for front in _iter_fronts(objectives):
         if len(survivors) + len(front) <= capacity:
             survivors.extend(front)
             continue
